@@ -1,5 +1,6 @@
 #include "measure/sinks.h"
 
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
@@ -66,7 +67,7 @@ void WaveformCaptureSink::load_state(util::ByteReader& r) {
   const double dt = r.f64();
   std::vector<double> samples = r.vec_f64();
   const auto pos = static_cast<std::size_t>(r.u64());
-  if (pos > samples.size())
+  if (pos > samples.size() || !std::isfinite(dt) || dt <= 0.0)
     throw std::runtime_error("WaveformCaptureSink: corrupt checkpoint");
   wf_ = sig::Waveform(t0, dt, std::move(samples));
   pos_ = pos;
@@ -172,6 +173,7 @@ void EdgeSink::begin(double t0_ps, double dt_ps, std::size_t total_n) {
 }
 
 void EdgeSink::consume(const double* samples, std::size_t n) {
+  if (!extractor_) throw std::logic_error("EdgeSink: consume before begin()");
   extractor_->consume(samples, n);
 }
 

@@ -157,6 +157,8 @@ class EdgeSink final : public ISampleSink {
                     double settle_ps = 400.0);
 
   void begin(double t0_ps, double dt_ps, std::size_t total_n) override;
+  /// Throws std::logic_error when there is no extractor: before begin(),
+  /// or after loading a state saved before begin().
   void consume(const double* samples, std::size_t n) override;
 
   const std::vector<sig::Edge>& edges() const;

@@ -118,6 +118,10 @@ void StreamingEdgeExtractor::load(util::ByteReader& r) {
   if (base_ + hist_.size() != n_seen_)
     throw std::runtime_error("StreamingEdgeExtractor: corrupt checkpoint");
   const std::uint64_t n_edges = r.u64();
+  // Each edge is 9 bytes (f64 + u8): bound the count by the payload left
+  // before reserving, so a corrupt count cannot request unbounded memory.
+  if (n_edges > r.remaining() / 9)
+    throw std::runtime_error("StreamingEdgeExtractor: corrupt checkpoint");
   edges_.clear();
   edges_.reserve(static_cast<std::size_t>(n_edges));
   for (std::uint64_t i = 0; i < n_edges; ++i) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -374,6 +375,88 @@ TEST(SinkCheckpoint, TruncatedStateThrowsInsteadOfFabricating) {
     EXPECT_THROW(load_from(*d, bytes.substr(0, bytes.size() - 3)),
                  std::runtime_error)
         << f.name;
+  }
+}
+
+TEST(SinkDecoder, EdgeSinksRefuseConsumeWithoutExtractor) {
+  // An edge-based sink has no extractor before begin(), and a payload
+  // whose has-extractor byte is 0 leaves it without one after load.
+  // consume() must then throw, not dereference the empty extractor.
+  const gs::Waveform wf = make_wave(803);
+  gm::EdgeSink ref = gm::DelayMeterSink::reference_sink();
+  feed_all(ref, wf);
+  const std::vector<NamedFactory> factories = {
+      {"edge",
+       [] {
+         return std::make_unique<gm::EdgeSink>(gs::EdgeExtractOptions{},
+                                               400.0);
+       }},
+      {"jitter",
+       [] {
+         return std::make_unique<gm::JitterSink>(
+             wave_config().unit_interval_ps());
+       }},
+      {"delay_meter",
+       [&ref] { return std::make_unique<gm::DelayMeterSink>(ref); }},
+  };
+  const double* p = wf.samples().data();
+  for (const auto& f : factories) {
+    auto fresh = f.make();
+    EXPECT_THROW(fresh->consume(p, 16), std::logic_error) << f.name;
+
+    const std::string empty_state = state_of(*f.make());
+    auto loaded = f.make();
+    loaded->begin(wf.t0_ps(), wf.dt_ps(), wf.size());
+    load_from(*loaded, empty_state);
+    EXPECT_THROW(loaded->consume(p, 16), std::logic_error) << f.name;
+  }
+}
+
+TEST(SinkDecoder, WrappingVectorLengthIsTruncation) {
+  // n * 8 wraps to a small number for n >= 2^61; the length check must
+  // not, and the decoder must report truncation rather than length_error.
+  for (const std::uint64_t n : {std::uint64_t{1} << 61,
+                                (std::uint64_t{1} << 61) + 1}) {
+    ByteWriter w;
+    w.u64(n);
+    w.f64(1.0);
+    {
+      ByteReader r(w.bytes());
+      EXPECT_THROW(r.vec_f64(), std::runtime_error) << n;
+    }
+    {
+      ByteReader r(w.bytes());
+      EXPECT_THROW(r.vec_u64(), std::runtime_error) << n;
+    }
+  }
+}
+
+TEST(SinkDecoder, EdgeCountBeyondPayloadIsRejectedBeforeReserve) {
+  gs::StreamingEdgeExtractor src(0.0, 0.25, gs::EdgeExtractOptions{});
+  ByteWriter w;
+  src.save(w);
+  std::string bytes = w.take();
+  // The edge count is the last u64 of an extractor with no edges.
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  ASSERT_GE(bytes.size(), 8u);
+  std::memcpy(bytes.data() + bytes.size() - 8, &huge, sizeof huge);
+  gs::StreamingEdgeExtractor dst(0.0, 0.25, gs::EdgeExtractOptions{});
+  ByteReader r(bytes);
+  EXPECT_THROW(dst.load(r), std::runtime_error);
+}
+
+TEST(SinkDecoder, CaptureRejectsBadDtAsCorruption) {
+  const gs::Waveform wf = make_wave(804);
+  gm::WaveformCaptureSink cap;
+  feed_all(cap, wf);
+  const std::string good = state_of(cap);
+  // Layout: u32 kind tag, f64 t0, f64 dt, ...
+  constexpr std::size_t kDtOffset = 4 + 8;
+  for (const double dt : {0.0, -0.25, std::nan(""), HUGE_VAL}) {
+    std::string bad = good;
+    std::memcpy(bad.data() + kDtOffset, &dt, sizeof dt);
+    gm::WaveformCaptureSink d;
+    EXPECT_THROW(load_from(d, bad), std::runtime_error) << dt;
   }
 }
 
