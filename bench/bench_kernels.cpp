@@ -69,8 +69,8 @@ void run_step(benchmark::State& state, E& e) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * in.size()));
 }
 
-// Chunked exactly like run_blocked() so the measurement reflects the
-// production process() path, not one giant flat call.
+// Chunked exactly like AnalogElement::process() so the measurement
+// reflects the production process() path, not one giant flat call.
 template <typename E>
 void run_block(benchmark::State& state, E& e) {
   const auto& in = stim();

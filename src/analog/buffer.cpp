@@ -48,9 +48,8 @@ void VariableGainBuffer::reset() {
 }
 
 backend::VgaTailCoeffs VariableGainBuffer::tail_coeffs(double dt_ps) {
-  // Every value is a pure function of (config, vctrl_, dt) and is formed
-  // by the same expressions the historical inline step() used, so both
-  // paths and all backends agree bitwise. amp_frac is hoisted as
+  // Every value is a pure function of (config, vctrl_, dt), so the solo
+  // and batch paths and all backends agree bitwise. amp_frac is hoisted as
   // amp - (amp*frac)*droop rather than amp*(1 - frac*droop): one fewer
   // multiply on the serially-dependent droop chain.
   backend::VgaTailCoeffs c;
@@ -66,24 +65,6 @@ backend::VgaTailCoeffs VariableGainBuffer::tail_coeffs(double dt_ps) {
   return c;
 }
 
-double VariableGainBuffer::step(double vin, double dt_ps) {
-  double x = input_.step(vin, dt_ps);
-  x = lpf_.step(x, dt_ps);
-  x += noise_.step(dt_ps);
-  // Unit-amplitude limiting output stage; the (droop-sagged) half-swing
-  // is applied inside the tail step — bias droop models the output
-  // stage's tail current sagging with recent switching activity
-  // (fraction of time spent slew-limited), the paper's Fig. 15 roll-off
-  // mechanism. vga_tail_step is the shared backend reference step, so
-  // this path and the block kernel agree byte for byte.
-  const double lim =
-      util::det_tanh(cfg_.output_gain * x / cfg_.output_ref_v);
-  const backend::VgaTailCoeffs c = tail_coeffs(dt_ps);
-  const double slewed =
-      backend::vga_tail_step(c, slew_.state(), tail_, lim);
-  return out_pole_.step(slewed, dt_ps);
-}
-
 void VariableGainBuffer::process_block(const double* in, double* out,
                                        std::size_t n, double dt_ps) {
   util::ScratchBuffer noise(n);
@@ -92,16 +73,18 @@ void VariableGainBuffer::process_block(const double* in, double* out,
   input_.process_block(in, out, n, dt_ps);
   lpf_.process_block(out, out, n, dt_ps);
   noise_.process_block(noise.data(), n, dt_ps);
-  // The limiter argument is feedforward — it depends only on the
-  // filtered input plus noise, not on the droop/slew recursion — so the
-  // tanh pass is hoisted out of the recursion into the elementwise
-  // tanh_stage kernel (the AVX2 backend's biggest win in this element).
-  // step() forms the same doubles in the same order, so the split
-  // changes nothing bitwise.
+  // Unit-amplitude limiting output stage. Its argument is feedforward —
+  // it depends only on the filtered input plus noise, not on the
+  // droop/slew recursion — so the tanh pass is hoisted out of the
+  // recursion into the elementwise tanh_stage kernel (the AVX2 backend's
+  // biggest win in this element).
   k.tanh_stage(out, noise.data(), lim.data(), n, cfg_.output_gain,
                cfg_.output_ref_v, 1.0);
-  // The droop/slew recursion feeds back sample-to-sample through a
-  // clamp, so it stays a serial kernel on every backend (the AVX2 table
+  // The (droop-sagged) half-swing is applied inside the tail: bias droop
+  // models the output stage's tail current sagging with recent switching
+  // activity (fraction of time spent slew-limited), the paper's Fig. 15
+  // roll-off mechanism. The recursion feeds back sample-to-sample through
+  // a clamp, so it stays a serial kernel on every backend (the AVX2 table
   // points at the shared scalar definition).
   const backend::VgaTailCoeffs c = tail_coeffs(dt_ps);
   k.vga_tail(lim.data(), out, n, c, slew_.state(), tail_);
@@ -125,16 +108,6 @@ void LimitingBuffer::reset() {
   slew_.reset();
 }
 
-double LimitingBuffer::step(double vin, double dt_ps) {
-  double x = input_.step(vin, dt_ps);
-  x = lpf_.step(x, dt_ps);
-  x += noise_.step(dt_ps);
-  const double target =
-      cfg_.out_swing_v *
-      util::det_tanh(cfg_.output_gain * x / cfg_.output_ref_v);
-  return slew_.step(target, dt_ps);
-}
-
 void LimitingBuffer::process_block(const double* in, double* out,
                                    std::size_t n, double dt_ps) {
   util::ScratchBuffer noise(n);
@@ -142,7 +115,7 @@ void LimitingBuffer::process_block(const double* in, double* out,
   lpf_.process_block(out, out, n, dt_ps);
   noise_.process_block(noise.data(), n, dt_ps);
   // Elementwise limiting stage through the backend tanh_stage kernel —
-  // bit-exact against step()'s inline expression on every backend.
+  // bit-exact against swing * det_tanh(gain * x / ref) on every backend.
   backend::active().tanh_stage(out, noise.data(), out, n, cfg_.output_gain,
                                cfg_.output_ref_v, cfg_.out_swing_v);
   slew_.process_block(out, out, n, dt_ps);

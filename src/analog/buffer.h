@@ -89,12 +89,11 @@ class VariableGainBuffer final : public AnalogElement {
     return std::make_unique<VariableGainBuffer>(*this);
   }
   void reset() override;
-  double step(double vin, double dt_ps) override;
   /// Stage-major block path: tanh pair, bandwidth pole and batched noise
   /// run as whole-block passes; the droop/slew/output recursion — whose
   /// state feeds back sample-to-sample — runs as one fused scalar loop
-  /// with every dt-dependent coefficient hoisted. Byte-identical to
-  /// step(); Vctrl modulation (jitter injection) stays on the step path.
+  /// with every dt-dependent coefficient hoisted. Vctrl is read once per
+  /// call, so Vctrl modulation (jitter injection) runs n == 1 calls.
   void process_block(const double* in, double* out, std::size_t n,
                      double dt_ps) override;
 
@@ -148,7 +147,6 @@ class LimitingBuffer final : public AnalogElement {
     return std::make_unique<LimitingBuffer>(*this);
   }
   void reset() override;
-  double step(double vin, double dt_ps) override;
   void process_block(const double* in, double* out, std::size_t n,
                      double dt_ps) override;
 

@@ -4,9 +4,9 @@
 // total range ~140 ps against the application requirement of 120 ps.
 #pragma once
 
+#include "analog/element.h"
 #include "core/coarse_delay.h"
 #include "core/fine_delay.h"
-#include "signal/waveform.h"
 #include "util/rng.h"
 
 namespace gdelay::core {
@@ -24,7 +24,7 @@ struct ChannelConfig {
   }
 };
 
-class VariableDelayChannel {
+class VariableDelayChannel final : public analog::AnalogElement {
  public:
   VariableDelayChannel(const ChannelConfig& cfg, util::Rng rng);
 
@@ -49,12 +49,14 @@ class VariableDelayChannel {
     fine_.fork_noise(stream);
   }
 
-  void reset();
-  double step(double vin, double dt_ps);
-  /// Stage-major block path — byte-identical to `n` step() calls.
+  std::unique_ptr<analog::AnalogElement> clone() const override {
+    return std::make_unique<VariableDelayChannel>(*this);
+  }
+  void reset() override;
+  /// Stage-major block path: the whole block through the coarse section,
+  /// then through the fine line.
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps);
-  sig::Waveform process(const sig::Waveform& in);
+                     double dt_ps) override;
 
  private:
   ChannelConfig cfg_;

@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "analog/buffer.h"
+#include "analog/element.h"
 #include "analog/tline.h"
-#include "signal/waveform.h"
 #include "util/rng.h"
 
 namespace gdelay::core {
@@ -38,7 +38,7 @@ struct CoarseDelayConfig {
   }
 };
 
-class CoarseDelayBlock {
+class CoarseDelayBlock final : public analog::AnalogElement {
  public:
   static constexpr int kTaps = 4;
 
@@ -57,16 +57,16 @@ class CoarseDelayBlock {
   /// cloned block (the passive taps carry no noise).
   void fork_noise(std::uint64_t stream);
 
-  void reset();
-  /// All four taps are simulated every sample so the selection may change
-  /// mid-run, exactly like flipping the real select lines.
-  double step(double vin, double dt_ps);
-  /// Stage-major block path — byte-identical to `n` step() calls. Every
-  /// tap is still advanced (their state must track the fanout signal for
-  /// mid-run reselection), but each as one whole-block pass.
+  std::unique_ptr<analog::AnalogElement> clone() const override {
+    return std::make_unique<CoarseDelayBlock>(*this);
+  }
+  void reset() override;
+  /// Stage-major block path. All four taps are advanced every call, each
+  /// as one whole-block pass, so their state tracks the fanout signal and
+  /// the selection may change mid-run, exactly like flipping the real
+  /// select lines.
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps);
-  sig::Waveform process(const sig::Waveform& in);
+                     double dt_ps) override;
 
   /// Batch-executor part accessors.
   analog::LimitingBuffer& fanout() { return fanout_; }

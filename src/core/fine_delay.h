@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "analog/buffer.h"
-#include "signal/waveform.h"
+#include "analog/element.h"
 #include "util/rng.h"
 
 namespace gdelay::core {
@@ -30,7 +30,7 @@ struct FineDelayConfig {
   }
 };
 
-class FineDelayLine {
+class FineDelayLine final : public analog::AnalogElement {
  public:
   FineDelayLine(const FineDelayConfig& cfg, util::Rng rng);
 
@@ -51,21 +51,16 @@ class FineDelayLine {
   /// parallel calibration sweeps (one stream per sweep point).
   void fork_noise(std::uint64_t stream);
 
-  void reset();
-  double step(double vin, double dt_ps);
-
-  /// One sample with the common control voltage updated first — the
-  /// primitive behind jitter injection (Vctrl varies during the run).
-  double step_with_vctrl(double vin, double vctrl, double dt_ps);
+  std::unique_ptr<analog::AnalogElement> clone() const override {
+    return std::make_unique<FineDelayLine>(*this);
+  }
+  void reset() override;
 
   /// Advances `n` samples stage-major (whole block through each stage in
-  /// turn) — byte-identical to `n` step() calls. Fixed Vctrl only; the
-  /// injection path stays on step_with_vctrl().
+  /// turn) at the current Vctrl. Jitter injection varies Vctrl during the
+  /// run by calling set_vctrl() between n == 1 calls.
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps);
-
-  /// Runs a waveform through a freshly reset line (block path).
-  sig::Waveform process(const sig::Waveform& in);
+                     double dt_ps) override;
 
   /// Batch-executor part accessors (core::BatchRunner drives the stages'
   /// exact pass sequences through the lane-batched backend kernels).

@@ -6,8 +6,8 @@
 #pragma once
 
 #include "analog/coupling.h"
+#include "analog/element.h"
 #include "core/fine_delay.h"
-#include "signal/waveform.h"
 #include "util/rng.h"
 
 namespace gdelay::core {
@@ -33,7 +33,7 @@ struct JitterInjectorConfig {
   double sj_freq_ghz = 0.01;
 };
 
-class JitterInjector {
+class JitterInjector final : public analog::AnalogElement {
  public:
   JitterInjector(const JitterInjectorConfig& cfg, util::Rng rng);
 
@@ -57,15 +57,17 @@ class JitterInjector {
     noise_.fork_noise(stream);
   }
 
-  void reset();
-  /// One sample: draws noise, couples it onto Vctrl, steps the line.
-  double step(double vin, double dt_ps);
-  /// `n` step() calls; byte-identical at any chunking. Vctrl varies per
-  /// sample, so there is no wide kernel — this exists so the injector can
-  /// serve as a streaming Pipeline stage. In-place (in == out) allowed.
+  std::unique_ptr<analog::AnalogElement> clone() const override {
+    return std::make_unique<JitterInjector>(*this);
+  }
+  void reset() override;
+  /// Draws the block's generator noise, couples it onto Vctrl, then
+  /// advances the line one sample per Vctrl value. The Vctrl trajectory
+  /// is feed-forward (it never sees the signal), so it is computed for
+  /// the whole block first; the line itself runs n == 1 calls because
+  /// its control voltage changes every sample.
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps);
-  sig::Waveform process(const sig::Waveform& in);
+                     double dt_ps) override;
 
  private:
   JitterInjectorConfig cfg_;

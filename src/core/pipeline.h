@@ -8,13 +8,13 @@
 // resident — the software analogue of clocking samples through a
 // hardware delay line without staging buffers.
 //
-// Identity guarantee: because every stage's process_block() is
-// contractually byte-identical to per-sample step() calls at any
-// chunking (the PR 2 block-kernel contract), and every sink carries its
-// seam state explicitly, a Pipeline run produces bit-for-bit the same
-// doubles as materializing each intermediate waveform — at ANY
-// chunk_samples. Stages draw from their own RNG streams in sample
-// order, so the draw order also matches the materializing path.
+// Identity guarantee: every stage's process_block() gives the same bytes
+// at any chunking — the per-sample step() is itself process_block() with
+// n == 1 — and every sink carries its seam state explicitly. So a
+// Pipeline run produces bit-for-bit the same doubles as materializing
+// each intermediate waveform, at ANY chunk_samples. Stages draw from
+// their own RNG streams in sample order, so the draw order also matches
+// the materializing path.
 //
 // Stages are borrowed, not owned: benches and calibration code keep
 // configuring the very objects (channel, injector) they stream through.
@@ -49,8 +49,8 @@ class Pipeline {
 
   /// Appends a borrowed processing stage. Any type with
   /// `reset()` and `process_block(const double*, double*, std::size_t,
-  /// double)` qualifies — AnalogElement, VariableDelayChannel,
-  /// JitterInjector, FineDelayLine...
+  /// double)` qualifies: every AnalogElement (channel, fine line,
+  /// jitter injector, ...) and non-element wrappers alike.
   template <typename T>
   Pipeline& add_stage(T& stage) {
     stages_.push_back(std::make_unique<StageModel<T>>(stage));

@@ -14,9 +14,8 @@
 // SSE2: rounding uses the add-magic-constant trick, not rint, and 2^k
 // is assembled with integer adds, not a double->int conversion.
 //
-// Both the step() and process_block() paths call the same function, so
-// the byte-identity contract between them (tests/test_block_kernels.cpp)
-// is preserved by construction.
+// The scalar backend kernels and the element code call the same
+// functions, so no result depends on which of them evaluates a sample.
 #pragma once
 
 #include <bit>

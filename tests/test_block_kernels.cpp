@@ -1,14 +1,17 @@
-// Byte-identity of the block-processing path.
+// Chunking invariance of the block-processing path.
 //
-// `process_block()` is contractually an optimization, never a semantic
-// fork: for every element and composite, `n` blocked samples must equal
-// `n` step() calls bit for bit — same doubles, same RNG draw order, same
-// state afterwards. These tests drive a step-path twin and a block-path
-// twin (identically constructed, identically seeded) through the same
-// stimulus, including mid-run dt changes and awkward chunk sizes, and
-// compare raw bit patterns. Any tolerance here would defeat the point:
-// the calibration tables and the deterministic parallel sweeps rely on
-// the two paths being interchangeable.
+// `process_block()` is every element's one implementation, and `step()`
+// is process_block() with n == 1. The result must not depend on how a run
+// is split into calls: for every element and composite, blocked samples
+// at any chunk size must equal the chunk-size-1 (per-sample) run bit for
+// bit — same doubles, same RNG draw order, same state afterwards. These
+// tests drive a per-sample twin and a block twin (identically
+// constructed, identically seeded) through the same stimulus, including
+// mid-run dt changes and awkward chunk sizes, and compare raw bit
+// patterns. Any tolerance here would defeat the point: the calibration
+// tables and the deterministic parallel sweeps rely on chunking being
+// invisible. The per-sample run itself is pinned by the frozen digests
+// in test_golden_digests.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -25,6 +28,7 @@
 #include "core/channel.h"
 #include "core/coarse_delay.h"
 #include "core/fine_delay.h"
+#include "core/jitter_injector.h"
 #include "signal/waveform.h"
 #include "util/fastmath.h"
 #include "util/rng.h"
@@ -198,6 +202,17 @@ TEST(BlockKernel, CascadeStageMajor) {
     expect_block_matches_step(ref, blk, chunk);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+TEST(BlockKernel, JitterInjector) {
+  // Vctrl varies every sample: the block path computes the whole
+  // trajectory first, then advances the line one sample per value.
+  check_element([] {
+    gc::JitterInjectorConfig cfg;
+    cfg.sj_pp_v = 0.3;
+    cfg.sj_freq_ghz = 0.05;
+    return gc::JitterInjector(cfg, Rng(5));
+  });
 }
 
 TEST(BlockKernel, NoiseSourceBatchedDraws) {

@@ -96,7 +96,8 @@ TEST(FineDelayLine, StepWithVctrlModulates) {
   for (std::size_t i = 0; i < s.wf.size(); ++i) {
     const double t = s.wf.time_at(i);
     const double v = (std::fmod(t, 4000.0) < 2000.0) ? 0.2 : 1.3;
-    out[i] = line.step_with_vctrl(s.wf[i], v, s.wf.dt_ps());
+    line.set_vctrl(v);
+    out[i] = line.step(s.wf[i], s.wf.dt_ps());
   }
   const auto d = gm::measure_delay(s.wf, out);
   // Spread across edges must reflect the two delay states (~30 ps apart).
