@@ -174,10 +174,44 @@ TEST(AuditR3, FlagsStepWithoutProcessBlockAndClone) {
       "  double step(double v, double dt) override { return v * dt; }\n"
       "};\n");
   auto rules = rules_of(fs);
-  ASSERT_EQ(rules, (std::vector<std::string>{"R3", "R3"})) << render(fs);
-  // Findings sort by message at equal position: clone before process_block.
+  ASSERT_EQ(rules, (std::vector<std::string>{"R3", "R3", "R3"}))
+      << render(fs);
+  // Findings sort by message at equal position: "declares step()" before
+  // "does not override clone()" before "... process_block()".
+  EXPECT_NE(fs[0].message.find("declares step()"), std::string::npos);
+  EXPECT_NE(fs[1].message.find("clone"), std::string::npos);
+  EXPECT_NE(fs[2].message.find("process_block"), std::string::npos);
+}
+
+TEST(AuditR3, KeysOnDerivationNotOnStep) {
+  // No step() at all: the element contract still applies, because every
+  // subclass inherits step() from process_block().
+  auto fs = scan_source(
+      "core/x.h",
+      "class Composite final : public AnalogElement {\n"
+      " public:\n"
+      "  void reset() override;\n"
+      "};\n");
+  ASSERT_EQ(rules_of(fs), (std::vector<std::string>{"R3", "R3"}))
+      << render(fs);
   EXPECT_NE(fs[0].message.find("clone"), std::string::npos);
   EXPECT_NE(fs[1].message.find("process_block"), std::string::npos);
+}
+
+TEST(AuditR3, FlagsStepThatHidesTheDerivedOne) {
+  // Complete block and clone contract, plus a hand-written step(): the
+  // subclass's own per-sample body would hide the derived one.
+  auto fs = scan_source(
+      "analog/x.h",
+      "class Twice final : public AnalogElement {\n"
+      " public:\n"
+      "  double step(double v, double dt);\n"
+      "  void process_block(const double* in, double* out, std::size_t n,\n"
+      "                     double dt_ps) override;\n"
+      "  std::unique_ptr<AnalogElement> clone() const override;\n"
+      "};\n");
+  ASSERT_EQ(rules_of(fs), std::vector<std::string>{"R3"}) << render(fs);
+  EXPECT_NE(fs[0].message.find("hides"), std::string::npos);
 }
 
 TEST(AuditR3, FlagsRngMemberWithoutForkNoise) {
@@ -197,7 +231,6 @@ TEST(AuditR3, CleanOnCompleteElement) {
       "analog/x.h",
       "class Complete final : public AnalogElement {\n"
       " public:\n"
-      "  double step(double v, double dt) override;\n"
       "  void process_block(const double* in, double* out, std::size_t n,\n"
       "                     double dt_ps) override;\n"
       "  std::unique_ptr<AnalogElement> clone() const override {\n"
@@ -952,7 +985,6 @@ namespace r12 {
 const char* kElement =
     "class Gain : public AnalogElement {\n"
     " public:\n"
-    "  double step(double v, double dt) override;\n"
     "  void process_block(const double* in, double* out, std::size_t n,\n"
     "                     double dt_ps) override;\n"
     "  std::unique_ptr<AnalogElement> clone() const override;\n"
@@ -1023,6 +1055,31 @@ TEST(AuditR12, MissingEnumeratorIsASingleFinding) {
   ASSERT_EQ(rules_of(fs), std::vector<std::string>{"R12"}) << render(fs);
   EXPECT_EQ(fs[0].file, "service/kinds.h");
   EXPECT_NE(fs[0].message.find("'kProgram'"), std::string::npos);
+}
+
+TEST(AuditR12, CoversSubclassesThatInheritStep) {
+  // A composite that derives step() from process_block() declares no
+  // step() of its own; it still needs a byte-identity suite.
+  std::vector<SourceFile> srcs = r12::sources();
+  srcs.push_back({"core/line.h",
+                  "class Line final : public AnalogElement {\n"
+                  " public:\n"
+                  "  void process_block(const double* in, double* out,\n"
+                  "                     std::size_t n, double dt) override;\n"
+                  "  std::unique_ptr<AnalogElement> clone() const override;\n"
+                  "};\n"});
+  std::vector<SourceFile> tests = {
+      {"tests/test_block_kernels.cpp", "TEST(B, G) { Gain g; }"},
+      {"tests/test_backend_equivalence.cpp",
+       "TEST(E, S) { k->scale(nullptr, nullptr, 0); }"},
+      {"tests/test_batch_equivalence.cpp",
+       "TEST(L, S) { k->scale_batch(nullptr, nullptr, 0); }"},
+      {"tests/test_service_determinism.cpp",
+       "TEST(S, K) { run(RequestKind::kPlan); run(RequestKind::kProgram); }"}};
+  auto fs = scan_files(srcs, tests);
+  ASSERT_EQ(rules_of(fs), std::vector<std::string>{"R12"}) << render(fs);
+  EXPECT_EQ(fs[0].file, "core/line.h");
+  EXPECT_NE(fs[0].message.find("'Line'"), std::string::npos);
 }
 
 TEST(AuditR12, SkippedWithoutRegisteredTests) {

@@ -684,18 +684,25 @@ void finalize_class(const ClassInfo& ci, const std::string& label,
   bool from_element = false;
   for (const auto& b : ci.bases)
     if (b == "AnalogElement") from_element = true;
-  if (from_element && ci.methods.count("step")) {
+  if (from_element) {
     if (!ci.methods.count("process_block"))
       out.push_back({label, ci.line, ci.col, "R3",
                      "class '" + ci.name +
-                         "' derives from AnalogElement and overrides step() "
-                         "but not process_block(); the block path must stay "
-                         "byte-identical to the scalar path"});
+                         "' derives from AnalogElement but does not override "
+                         "process_block(); it is the element's one "
+                         "implementation, and step() is derived from it"});
     if (!ci.methods.count("clone"))
       out.push_back({label, ci.line, ci.col, "R3",
                      "class '" + ci.name +
-                         "' derives from AnalogElement and overrides step() "
-                         "but not clone(); parallel sweeps need deep copies"});
+                         "' derives from AnalogElement but does not override "
+                         "clone(); parallel sweeps need deep copies"});
+    if (ci.methods.count("step"))
+      out.push_back({label, ci.line, ci.col, "R3",
+                     "class '" + ci.name +
+                         "' derives from AnalogElement and declares step(), "
+                         "which hides the step() derived from "
+                         "process_block(); a second per-sample body can "
+                         "drift from the block path"});
   }
   if (!ci.rng_members.empty() && !ci.methods.count("fork_noise")) {
     for (const auto& [name, tok] : ci.rng_members)
@@ -1929,7 +1936,6 @@ std::vector<Finding> scan_global(const SymbolIndex& idx, const Options& opt,
     };
 
     for (const auto& c : idx.classes) {
-      if (!c.methods.count("step")) continue;
       bool is_element = false;
       for (const auto& b : c.bases)
         if (derives(b)) is_element = true;
@@ -1940,7 +1946,7 @@ std::vector<Finding> scan_global(const SymbolIndex& idx, const Options& opt,
              "AnalogElement subclass '" + c.name +
                  "' appears in no byte-identity suite (" +
                  join_fragments(opt.element_coverage_files) +
-                 "); an untested step/block/clone contract is a latent "
+                 "); an untested block/clone contract is a latent "
                  "divergence"});
       }
     }
@@ -2088,9 +2094,9 @@ const std::vector<RuleInfo>& rule_catalog() {
              "getenv)",
        "everywhere; getenv allowed in util/thread_pool, backend/dispatch, "
        "service/config, campaign/config"},
-      {"R3", "AnalogElement subclasses overriding step() must override "
-             "process_block() and clone(); Rng/NoiseSource members need "
-             "fork_noise()",
+      {"R3", "AnalogElement subclasses must override process_block() and "
+             "clone() and must not declare step(); Rng/NoiseSource members "
+             "need fork_noise()",
        "all classes"},
       {"R4", "no mutable namespace-scope state",
        "everywhere except backend/dispatch, service/config"},

@@ -31,10 +31,11 @@
 //       rand()/srand(), time(), wall-clock *_clock reads, getenv()
 //       (except util/thread_pool, backend/dispatch, service/config).
 //   R3  element-contract completeness: every class deriving from
-//       AnalogElement that overrides step() must also override
-//       process_block() and clone(); every class holding a Rng or
-//       NoiseSource member must declare fork_noise() so clone-based
-//       sweeps can decorrelate its streams.
+//       AnalogElement must override process_block() and clone(), and
+//       must not declare step() — step() is derived from process_block()
+//       in the base, and a subclass's own would hide it. Every class
+//       holding a Rng or NoiseSource member must declare fork_noise() so
+//       clone-based sweeps can decorrelate its streams.
 //   R4  no mutable namespace-scope state (data races under
 //       GDELAY_THREADS, and order-of-initialization hazards).
 //   R5  no float: the analog path (analog/, signal/, core/) is double
@@ -72,8 +73,9 @@
 //       a pool-task lambda or a streaming-sink consume() body. The
 //       reachability walk follows the cross-TU call graph by name, so a
 //       wait buried two calls deep behind a parallel_map still surfaces.
-//   R12 contract coverage: every AnalogElement subclass must appear in a
-//       step-vs-block/clone byte-identity test, every backend::Kernels
+//   R12 contract coverage: every class deriving (transitively) from
+//       AnalogElement must appear in a chunking/clone byte-identity
+//       test, whether or not it declares step(); every backend::Kernels
 //       table entry in the backend/batch equivalence suites, and every
 //       service RequestKind in the service determinism suite — an
 //       untested contract is a build-time finding, not a latent
