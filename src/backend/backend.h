@@ -8,10 +8,12 @@
 // through the active table instead of open-coding the loops. Two tables
 // ship today:
 //
-//   scalar  The reference oracle. Exactly the arithmetic the per-sample
-//           step() paths perform, so step-vs-block byte identity holds by
-//           construction. This is the default: simulation results never
-//           change because of the machine they ran on.
+//   scalar  The reference oracle: plain loops over the inline reference
+//           steps below, one sample at a time, so any block partition —
+//           including the one-sample blocks that every element's derived
+//           step() issues — yields the same bytes. This is the default:
+//           simulation results never change because of the machine they
+//           ran on.
 //   avx2    Explicit 4-lane AVX2(+FMA) intrinsics, compiled only when the
 //           toolchain supports -mavx2 and selected only when the CPU
 //           reports AVX2. Elementwise kernels (tanh/exp/sincos2pi/
@@ -94,8 +96,8 @@ struct SlewState {
 };
 
 /// Hoisted coefficients of the VariableGainBuffer droop/slew tail for one
-/// (Vctrl, dt) pair. All values are bit-equal to what the per-sample
-/// step() path derives (pure functions of the config and dt).
+/// (Vctrl, dt) pair. All values are pure functions of the config and dt,
+/// so hoisting them out of the sample loop changes no output bit.
 struct VgaTailCoeffs {
   double amp = 0.0;           ///< A(Vctrl), half-swing before droop
   double amp_frac = 0.0;      ///< amp * droop_frac
@@ -115,9 +117,10 @@ struct VgaTailState {
 
 // ---------------------------------------------------------------------------
 // Inline reference steps — the scalar oracle, one sample at a time. The
-// elements' step() paths call these directly and the scalar kernel table
-// loops over them, which is what keeps step-vs-block byte identity true
-// by construction rather than by test.
+// scalar kernel table loops over them and the AVX2 kernels use them for
+// their serial fallbacks, so each recursion's arithmetic has one definition
+// and the scalar table is block-partition invariant by construction
+// rather than by test.
 
 inline double one_pole_step(double& y, double alpha, double x) {
   y += alpha * (x - y);

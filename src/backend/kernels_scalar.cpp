@@ -1,9 +1,10 @@
 // Scalar reference backend: the byte-identity oracle.
 //
 // Every kernel is a plain loop over the inline reference steps from
-// backend.h (or the det_* functions directly), i.e. exactly the
-// arithmetic the per-sample step() paths perform — in the same order,
-// with the same associativity. This file is compiled with the project's
+// backend.h (or the det_* functions directly), one sample at a time in
+// the same order with the same associativity, so a block and its split
+// into smaller blocks (down to the one-sample calls behind step()) give
+// the same bytes. This file is compiled with the project's
 // default flags only (no -mavx2), and the global -ffp-contract=off keeps
 // the compiler from fusing any multiply-add, so the oracle's bit
 // patterns are the portable IEEE-754 ones regardless of the toolchain's

@@ -47,6 +47,13 @@ void SinkAccumulator::merge_from(const IAccumulator& other) {
 namespace {
 // RecordAccumulator payload tag (sink payloads carry their own kinds).
 constexpr std::uint32_t kKindRecords = 0x52454331u;  // "REC1"
+
+// Room for `extra` more elements, growing geometrically like insert().
+template <class T>
+void reserve_more(std::vector<T>& v, std::size_t extra) {
+  if (v.capacity() - v.size() < extra)
+    v.reserve(v.size() + std::max(v.size(), extra));
+}
 }  // namespace
 
 RecordAccumulator::RecordAccumulator(std::size_t width) : width_(width) {
@@ -89,24 +96,45 @@ void RecordAccumulator::merge_from(const IAccumulator& other) {
   if (o->width_ != width_)
     throw std::logic_error("RecordAccumulator: merge width mismatch");
   // Merge-sort by unit id so the combined record list is in unit order no
-  // matter how the campaign was sharded or resumed.
+  // matter how the campaign was sharded or resumed. Both lists are
+  // strictly increasing, so the merge copies maximal runs. run_campaign
+  // merges shards in range order, where all of `other` follows this one
+  // and the merge is an in-place append.
+  if (o->units_.empty()) return;
+  if (units_.empty() || o->units_.front() > units_.back()) {
+    // Reserve both first so neither insert can throw half-way.
+    reserve_more(units_, o->units_.size());
+    reserve_more(values_, o->values_.size());
+    units_.insert(units_.end(), o->units_.begin(), o->units_.end());
+    values_.insert(values_.end(), o->values_.begin(), o->values_.end());
+    return;
+  }
   std::vector<std::uint64_t> units;
   std::vector<double> values;
   units.reserve(units_.size() + o->units_.size());
   values.reserve(values_.size() + o->values_.size());
+  const auto copy_run = [&](const RecordAccumulator& src, std::size_t from,
+                            std::size_t to) {
+    units.insert(units.end(), src.units_.data() + from,
+                 src.units_.data() + to);
+    values.insert(values.end(), src.values_.data() + from * width_,
+                  src.values_.data() + to * width_);
+  };
   std::size_t a = 0, b = 0;
-  while (a < units_.size() || b < o->units_.size()) {
-    const bool take_a = b >= o->units_.size() ||
-                        (a < units_.size() && units_[a] < o->units_[b]);
+  while (a < units_.size() && b < o->units_.size()) {
+    if (units_[a] == o->units_[b])
+      throw std::logic_error("RecordAccumulator: merge with duplicate unit");
+    const bool take_a = units_[a] < o->units_[b];
     const RecordAccumulator& src = take_a ? *this : *o;
     std::size_t& i = take_a ? a : b;
-    if (!units.empty() && src.units_[i] == units.back())
-      throw std::logic_error("RecordAccumulator: merge with duplicate unit");
-    units.push_back(src.units_[i]);
-    const double* row = src.values_.data() + i * width_;
-    values.insert(values.end(), row, row + width_);
-    ++i;
+    const std::uint64_t stop = take_a ? o->units_[b] : units_[a];
+    std::size_t end = i + 1;
+    while (end < src.units_.size() && src.units_[end] < stop) ++end;
+    copy_run(src, i, end);
+    i = end;
   }
+  copy_run(*this, a, units_.size());
+  copy_run(*o, b, o->units_.size());
   units_ = std::move(units);
   values_ = std::move(values);
 }

@@ -86,7 +86,9 @@ class SinkAccumulator final : public IAccumulator {
 /// sorted by unit id (shards process their contiguous ranges in order;
 /// merge_from() merge-sorts), so any final floating-point reduction runs
 /// in unit order regardless of the shard split — the association-
-/// invariance trick behind the campaign determinism contract.
+/// invariance trick behind the campaign determinism contract. A merge
+/// whose records all follow this one's is an in-place append; a unit
+/// present on both sides throws std::logic_error and changes nothing.
 class RecordAccumulator final : public IAccumulator {
  public:
   explicit RecordAccumulator(std::size_t width);

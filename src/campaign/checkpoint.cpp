@@ -10,14 +10,19 @@
 namespace gdelay::campaign {
 
 std::string frame(std::uint32_t kind, const std::string& payload) {
-  util::ByteWriter w;
-  w.u32(kCheckpointMagic);
-  w.u32(kCheckpointVersion);
-  w.u32(kind);
-  w.u64(payload.size());
-  w.raw(payload.data(), payload.size());
-  w.u64(util::fnv1a64(payload.data(), payload.size()));
-  return w.take();
+  util::ByteWriter head;
+  head.u32(kCheckpointMagic);
+  head.u32(kCheckpointVersion);
+  head.u32(kind);
+  head.u64(payload.size());
+  util::ByteWriter sum;
+  sum.u64(util::xxh64(payload.data(), payload.size()));
+  // One allocation for the whole frame: appending the payload to a growing
+  // writer would reallocate and copy it again for the 8-byte checksum.
+  std::string out;
+  out.reserve(head.size() + payload.size() + sum.size());
+  out.append(head.bytes()).append(payload).append(sum.bytes());
+  return out;
 }
 
 std::string unframe(const std::string& bytes, std::uint32_t expect_kind) {
@@ -34,12 +39,12 @@ std::string unframe(const std::string& bytes, std::uint32_t expect_kind) {
   if (kind != expect_kind)
     throw std::runtime_error("checkpoint: frame kind mismatch");
   const std::uint64_t size = r.u64();
-  if (r.remaining() < size + 8)
+  if (size > r.remaining() || r.remaining() - size < 8)
     throw std::runtime_error("checkpoint: truncated payload");
   std::string payload(static_cast<std::size_t>(size), '\0');
   r.raw(payload.data(), payload.size());
   const std::uint64_t sum = r.u64();
-  if (sum != util::fnv1a64(payload.data(), payload.size()))
+  if (sum != util::xxh64(payload.data(), payload.size()))
     throw std::runtime_error("checkpoint: payload checksum mismatch");
   if (!r.at_end())
     throw std::runtime_error("checkpoint: trailing bytes after frame");

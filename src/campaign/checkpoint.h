@@ -4,13 +4,14 @@
 // payloads, exec-worker result files — travels inside one frame:
 //
 //   u32 magic 'GDCK'   u32 version   u32 kind   u64 payload size
-//   payload bytes      u64 FNV-1a64(payload)
+//   payload bytes      u64 XXH64(payload, seed 0)
 //
 // unframe() validates all five envelope fields plus the checksum before
 // handing the payload back, so a truncated or bit-flipped checkpoint is
-// rejected up front instead of deserializing into plausible state. Files
-// are written via temp-file + rename so a crash mid-write can never leave
-// a half-frame at the checkpoint path.
+// rejected up front instead of deserializing into plausible state.
+// Version-1 frames, which carried an FNV-1a64 checksum, are refused as
+// an unsupported version. Files are written via temp-file + rename so a
+// crash mid-write can never leave a half-frame at the checkpoint path.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +21,7 @@
 namespace gdelay::campaign {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x4b434447u;  // "GDCK"
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// Frame payload kinds.
 inline constexpr std::uint32_t kFrameShardState = 1;

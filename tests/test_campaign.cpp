@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -176,6 +177,88 @@ TEST(RecordAccumulator, SaveLoadSaveIsIdentity) {
   EXPECT_EQ(w2.bytes(), w1.bytes());
 }
 
+namespace {
+
+constexpr std::size_t kRecWidth = 3;
+
+// Records for `units`, each row a pure function of its unit id (-0.0 in
+// the last column, so a sign slip would change the saved bytes).
+gcp::RecordAccumulator records_for(const std::vector<std::uint64_t>& units) {
+  gcp::RecordAccumulator acc(kRecWidth);
+  for (const std::uint64_t u : units) {
+    Rng rng = Rng(13).fork(u);
+    const double row[kRecWidth] = {rng.gaussian(), rng.uniform(), -0.0};
+    acc.add(u, row);
+  }
+  return acc;
+}
+
+std::string saved(const gcp::RecordAccumulator& acc) {
+  ByteWriter w;
+  acc.save(w);
+  return w.take();
+}
+
+std::vector<std::uint64_t> iota_units(std::uint64_t begin, std::uint64_t end) {
+  std::vector<std::uint64_t> u;
+  for (std::uint64_t i = begin; i < end; ++i) u.push_back(i);
+  return u;
+}
+
+}  // namespace
+
+TEST(RecordAccumulator, MergeMatchesRecordAtATimeReference) {
+  struct Case {
+    const char* name;
+    std::vector<std::uint64_t> a, b;
+  };
+  const std::vector<Case> cases = {
+      {"other after", iota_units(0, 10), iota_units(10, 25)},
+      {"other after, gap", iota_units(0, 10), iota_units(40, 45)},
+      {"other before", iota_units(10, 25), iota_units(0, 10)},
+      {"interleaved runs", {0, 1, 2, 7, 8, 15, 30}, {3, 4, 5, 6, 9, 16, 17}},
+      {"other inside a gap", {0, 1, 2, 10, 11}, {5, 6, 7}},
+      {"this empty", {}, iota_units(3, 8)},
+      {"other empty", iota_units(3, 8), {}},
+  };
+  for (const Case& c : cases) {
+    // Reference: every record of both sides added one at a time in unit
+    // order, which is what the merge must reproduce byte for byte.
+    std::vector<std::uint64_t> all = c.a;
+    all.insert(all.end(), c.b.begin(), c.b.end());
+    std::sort(all.begin(), all.end());
+    const std::string expect = saved(records_for(all));
+
+    gcp::RecordAccumulator merged = records_for(c.a);
+    merged.merge_from(records_for(c.b));
+    EXPECT_EQ(saved(merged), expect) << c.name;
+  }
+
+  // The campaign's pattern: shards folded into shard 0 in range order.
+  gcp::RecordAccumulator chained = records_for(iota_units(0, 7));
+  for (std::uint64_t s = 1; s < 4; ++s)
+    chained.merge_from(records_for(iota_units(7 * s, 7 * (s + 1))));
+  EXPECT_EQ(saved(chained), saved(records_for(iota_units(0, 28))));
+}
+
+TEST(RecordAccumulator, DuplicateUnitThrowsAndLeavesStateUnchanged) {
+  const std::vector<std::pair<std::vector<std::uint64_t>,
+                              std::vector<std::uint64_t>>>
+      cases = {
+          {{0, 1, 2}, {2, 3, 4}},  // other starts on this one's last unit
+          {{2, 3}, {0, 1, 2}},     // other ends on this one's first unit
+          {{0, 2, 4}, {1, 4, 5}},  // duplicate inside an interleaving
+      };
+  for (const auto& [a, b] : cases) {
+    gcp::RecordAccumulator acc = records_for(a);
+    const std::string before = saved(acc);
+    EXPECT_THROW(acc.merge_from(records_for(b)), std::logic_error);
+    EXPECT_EQ(saved(acc), before);
+  }
+  gcp::RecordAccumulator self = records_for({4, 5});
+  EXPECT_THROW(self.merge_from(self), std::logic_error);
+}
+
 // ---------------------------------------------------------------------------
 // The determinism contract
 // ---------------------------------------------------------------------------
@@ -249,6 +332,21 @@ TEST(CampaignDeterminism, TopologyChangeCannotAbsorbOldCheckpoints) {
                std::runtime_error);
 
   gcp::remove_checkpoints(spec);
+}
+
+TEST(CampaignDeterminism, DirectoryAtCheckpointPathIsRejected) {
+  // A directory where a shard checkpoint belongs reads as an empty file,
+  // which the frame decoder rejects; it must never be sized and allocated.
+  for (const gcp::Mode mode : {gcp::Mode::kSerial, gcp::Mode::kThread}) {
+    gcp::CampaignSpec spec = base_spec(2, mode);
+    spec.checkpoint_dir = ::testing::TempDir() + "gdelay_campaign_dirpath";
+    std::filesystem::remove_all(spec.checkpoint_dir);
+    std::filesystem::create_directories(gcp::shard_checkpoint_path(spec, 1));
+    EXPECT_THROW(gcp::run_campaign(spec, make_accs, unit_work),
+                 std::runtime_error)
+        << gcp::mode_name(mode);
+    std::filesystem::remove_all(spec.checkpoint_dir);
+  }
 }
 
 // ---------------------------------------------------------------------------

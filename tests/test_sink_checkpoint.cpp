@@ -471,12 +471,39 @@ TEST(CheckpointFrame, RoundTripsPayload) {
 }
 
 TEST(CheckpointFrame, RejectsBitFlipAnywhereInPayload) {
-  const std::string payload(256, 'x');
-  std::string framed = gcp::frame(gcp::kFrameShardState, payload);
-  // Flip one payload bit: the FNV checksum must catch it.
-  framed[20] = static_cast<char>(framed[20] ^ 0x10);
-  EXPECT_THROW(gcp::unframe(framed, gcp::kFrameShardState),
-               std::runtime_error);
+  std::string payload(1024, '\0');
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    payload[i] = static_cast<char>((i * 37 + 11) & 0xff);
+  const std::string framed = gcp::frame(gcp::kFrameShardState, payload);
+  // Every single-bit flip of the frame, all 8192 payload bits included:
+  // the envelope checks or the XXH64 checksum must catch each one.
+  for (std::size_t bit = 0; bit < framed.size() * 8; ++bit) {
+    std::string bad = framed;
+    bad[bit / 8] = static_cast<char>(bad[bit / 8] ^ (1 << (bit % 8)));
+    EXPECT_THROW(gcp::unframe(bad, gcp::kFrameShardState), std::runtime_error)
+        << "bit " << bit;
+  }
+}
+
+TEST(CheckpointFrame, RejectsVersion1Frame) {
+  // A version-1 frame as it was written before the checksum changed to
+  // XXH64: same envelope, FNV-1a64 trailer.
+  const std::string payload = "shard state";
+  ByteWriter w;
+  w.u32(gcp::kCheckpointMagic);
+  w.u32(1);
+  w.u32(gcp::kFrameShardState);
+  w.u64(payload.size());
+  w.raw(payload.data(), payload.size());
+  w.u64(gdelay::util::fnv1a64(payload.data(), payload.size()));
+  try {
+    gcp::unframe(w.bytes(), gcp::kFrameShardState);
+    FAIL() << "version-1 frame was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported frame version 1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CheckpointFrame, RejectsTruncation) {
@@ -487,6 +514,14 @@ TEST(CheckpointFrame, RejectsTruncation) {
     EXPECT_THROW(gcp::unframe(framed.substr(0, keep), gcp::kFrameShardState),
                  std::runtime_error)
         << "kept " << keep;
+  }
+  // A size field near 2^64 must not wrap the bounds check into a huge
+  // allocation.
+  for (const std::uint64_t size : {~std::uint64_t{0}, ~std::uint64_t{0} - 7}) {
+    std::string bad = framed;
+    std::memcpy(bad.data() + 12, &size, sizeof size);  // after magic/ver/kind
+    EXPECT_THROW(gcp::unframe(bad, gcp::kFrameShardState), std::runtime_error)
+        << size;
   }
 }
 

@@ -1,7 +1,9 @@
-// Tests for util: units, RNG, curves.
+// Tests for util: units, RNG, curves, CSV and binary serde.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -9,6 +11,7 @@
 #include "util/csv.h"
 #include "util/curve.h"
 #include "util/rng.h"
+#include "util/serde.h"
 #include "util/units.h"
 
 namespace gu = gdelay::util;
@@ -245,4 +248,90 @@ TEST(Csv, ValidatesInput) {
   EXPECT_THROW(
       gu::write_csv_xy("/nonexistent/dir/x.csv", "a", {1.0}, "b", {2.0}),
       std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// Binary serde: XXH64 and the bulk vector encoders
+// ---------------------------------------------------------------------------
+
+TEST(Serde, Xxh64KnownAnswers) {
+  EXPECT_EQ(gu::xxh64("", 0), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(gu::xxh64("abc", 3), 0x44BC2CF5AD770999ULL);
+  // Lengths that exercise the 32-byte stripes and the 8/4/1-byte tails.
+  // Expected low 32 bits come from zstd, whose frame checksum is the
+  // content's XXH64 (seed 0) truncated to its low 4 bytes, stored last and
+  // little-endian; byte i of the input is (131 * i + 7) mod 256:
+  //   python3 -c 'import sys; sys.stdout.buffer.write(bytes(
+  //     (131 * i + 7) % 256 for i in range(N)))' |
+  //     zstd -c --check | tail -c 4 | od -An -tx4
+  struct Case {
+    std::size_t n;
+    std::uint32_t low32;
+  };
+  const Case cases[] = {{0, 0x51d8e999},    {1, 0xe858bbb7},
+                        {4, 0x4b3bb23d},    {7, 0xd675d2c0},
+                        {8, 0x71ce94dd},    {31, 0x306b5d8f},
+                        {32, 0xbc5d6e25},   {33, 0x4e1cbe9f},
+                        {63, 0x066cb6a5},   {64, 0x0411632e},
+                        {1000, 0xc82eb373}};
+  std::vector<unsigned char> bytes(1000);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<unsigned char>((131 * i + 7) % 256);
+  for (const Case& c : cases)
+    EXPECT_EQ(static_cast<std::uint32_t>(gu::xxh64(bytes.data(), c.n)),
+              c.low32)
+        << "length " << c.n;
+}
+
+namespace {
+
+// Hand-built reference encoding: u64 count, then each 64-bit element,
+// least significant byte first.
+std::string le_block(const std::vector<std::uint64_t>& words) {
+  std::string out;
+  const auto put = [&out](std::uint64_t w) {
+    for (int b = 0; b < 8; ++b)
+      out.push_back(static_cast<char>((w >> (8 * b)) & 0xff));
+  };
+  put(words.size());
+  for (const std::uint64_t w : words) put(w);
+  return out;
+}
+
+}  // namespace
+
+TEST(Serde, VectorsAreLittleEndianBlocks) {
+  const std::uint64_t kNegZero = 0x8000000000000000ULL;
+  const std::uint64_t kNanPayload = 0x7ff80000deadbeefULL;
+  const std::uint64_t kDenormal = 0x0000000000000001ULL;
+  const std::vector<std::vector<std::uint64_t>> patterns = {
+      {}, {kNanPayload}, {kNegZero, kDenormal, 0x0123456789abcdefULL}};
+  for (const auto& bits : patterns) {
+    std::vector<double> f;
+    for (const std::uint64_t b : bits) f.push_back(std::bit_cast<double>(b));
+    const std::string expect = le_block(bits);
+
+    gu::ByteWriter wf, wu;
+    wf.vec_f64(f);
+    wu.vec_u64(bits);
+    EXPECT_EQ(wf.bytes(), expect) << "vec_f64, length " << bits.size();
+    EXPECT_EQ(wu.bytes(), expect) << "vec_u64, length " << bits.size();
+
+    gu::ByteReader rf(expect), ru(expect);
+    const std::vector<double> back_f = rf.vec_f64();
+    EXPECT_EQ(ru.vec_u64(), bits);
+    ASSERT_EQ(back_f.size(), bits.size());
+    for (std::size_t i = 0; i < bits.size(); ++i)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(back_f[i]), bits[i]) << i;
+    EXPECT_TRUE(rf.at_end());
+    EXPECT_TRUE(ru.at_end());
+
+    // One byte short of the last element is truncation, not a short read.
+    if (!bits.empty()) {
+      const std::string cut = expect.substr(0, expect.size() - 1);
+      gu::ByteReader r1(cut), r2(cut);
+      EXPECT_THROW(r1.vec_f64(), std::runtime_error);
+      EXPECT_THROW(r2.vec_u64(), std::runtime_error);
+    }
+  }
 }
