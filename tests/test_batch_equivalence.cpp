@@ -380,6 +380,62 @@ TEST(BatchRunnerEquivalence, ChannelMatchesSoloWithPerStreamProgramming) {
   }
 }
 
+namespace {
+
+// A channel whose buffers may all be noise-free and whose coarse taps may
+// lack the dispersion pole — lanes that differ in which parts are live.
+gc::VariableDelayChannel make_mixed_channel(std::size_t s, bool noise,
+                                            bool pole) {
+  gc::ChannelConfig cfg = gc::ChannelConfig::prototype();
+  if (!noise) {
+    cfg.coarse.fanout.noise_sigma_v = 0.0;
+    cfg.coarse.mux.noise_sigma_v = 0.0;
+    cfg.fine.stage.noise_sigma_v = 0.0;
+    cfg.fine.output_stage.noise_sigma_v = 0.0;
+  }
+  if (!pole) cfg.coarse.dispersion_f3db_ghz = 0.0;
+  gc::VariableDelayChannel ch(cfg, Rng(99));
+  ch.fork_noise(s);
+  ch.select_tap(static_cast<int>(s % 4));
+  ch.set_vctrl(ch.vctrl_max() * static_cast<double>(s) / 5.0);
+  return ch;
+}
+
+}  // namespace
+
+TEST(BatchRunnerEquivalence, MixedNoiseAndDispersionLanesMatchSolo) {
+  // Noise-free lanes beside noisy ones, a width where every lane is
+  // noise-free, and pole-less taps beside dispersive ones: each lane must
+  // still match its solo run.
+  const auto stim = stimulus();
+  std::vector<std::string> names{"scalar"};
+  if (avx2_usable()) names.push_back("avx2");
+  for (const auto& name : names) {
+    BackendSelect sel(name.c_str());
+    for (std::size_t w : {std::size_t{3}, std::size_t{5}}) {
+      for (bool all_quiet : {false, true}) {
+        const auto noise = [&](std::size_t s) {
+          return !all_quiet && s % 2 == 0;
+        };
+        const auto pole = [](std::size_t s) { return s % 3 != 1; };
+        std::vector<gc::VariableDelayChannel> chans;
+        for (std::size_t s = 0; s < w; ++s)
+          chans.push_back(make_mixed_channel(s, noise(s), pole(s)));
+        gc::BatchRunner runner;
+        for (auto& c : chans) runner.add(c);
+        const auto outs = runner.run(stim);
+        for (std::size_t s = 0; s < w; ++s) {
+          auto solo = make_mixed_channel(s, noise(s), pole(s));
+          const auto want = solo.process(stim);
+          ASSERT_TRUE(wf_equal(want, outs[s]))
+              << name << " w=" << w << " all_quiet=" << all_quiet
+              << " stream " << s;
+        }
+      }
+    }
+  }
+}
+
 TEST(BatchRunnerEquivalence, LaneAssignmentInvariance) {
   // The same 9 streams, added in reversed order: each stream's bytes
   // must be unchanged — lanes are an implementation detail.

@@ -77,6 +77,14 @@ gcp::CampaignSpec base_spec(std::size_t shards, gcp::Mode mode) {
   return spec;
 }
 
+// A checkpoint directory under the gtest temp dir, emptied first: a
+// checkpoint left there by an earlier aborted run must not be resumed.
+std::string fresh_checkpoint_dir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
 std::uint64_t run_hash(std::size_t shards, gcp::Mode mode) {
   const gcp::CampaignResult r =
       gcp::run_campaign(base_spec(shards, mode), make_accs, unit_work);
@@ -278,7 +286,7 @@ TEST(CampaignDeterminism, ResumeFromCheckpointMatchesUninterrupted) {
   const std::uint64_t ref = run_hash(1, gcp::Mode::kSerial);
 
   gcp::CampaignSpec spec = base_spec(2, gcp::Mode::kSerial);
-  spec.checkpoint_dir = ::testing::TempDir() + "gdelay_campaign_resume";
+  spec.checkpoint_dir = fresh_checkpoint_dir("gdelay_campaign_resume");
   spec.checkpoint_every = 5;
   spec.stop_after_units = kUnits / 2 / 2;  // half of each shard's range
 
@@ -306,7 +314,7 @@ TEST(CampaignDeterminism, ResumeFromCheckpointMatchesUninterrupted) {
 
 TEST(CampaignDeterminism, ForeignCheckpointIsRejected) {
   gcp::CampaignSpec spec = base_spec(1, gcp::Mode::kSerial);
-  spec.checkpoint_dir = ::testing::TempDir() + "gdelay_campaign_foreign";
+  spec.checkpoint_dir = fresh_checkpoint_dir("gdelay_campaign_foreign");
   spec.stop_after_units = 3;
   gcp::run_campaign(spec, make_accs, unit_work);  // leaves a checkpoint
 
@@ -321,7 +329,7 @@ TEST(CampaignDeterminism, ForeignCheckpointIsRejected) {
 
 TEST(CampaignDeterminism, TopologyChangeCannotAbsorbOldCheckpoints) {
   gcp::CampaignSpec spec = base_spec(2, gcp::Mode::kSerial);
-  spec.checkpoint_dir = ::testing::TempDir() + "gdelay_campaign_topo";
+  spec.checkpoint_dir = fresh_checkpoint_dir("gdelay_campaign_topo");
   spec.stop_after_units = 3;
   gcp::run_campaign(spec, make_accs, unit_work);
 
@@ -339,8 +347,7 @@ TEST(CampaignDeterminism, DirectoryAtCheckpointPathIsRejected) {
   // which the frame decoder rejects; it must never be sized and allocated.
   for (const gcp::Mode mode : {gcp::Mode::kSerial, gcp::Mode::kThread}) {
     gcp::CampaignSpec spec = base_spec(2, mode);
-    spec.checkpoint_dir = ::testing::TempDir() + "gdelay_campaign_dirpath";
-    std::filesystem::remove_all(spec.checkpoint_dir);
+    spec.checkpoint_dir = fresh_checkpoint_dir("gdelay_campaign_dirpath");
     std::filesystem::create_directories(gcp::shard_checkpoint_path(spec, 1));
     EXPECT_THROW(gcp::run_campaign(spec, make_accs, unit_work),
                  std::runtime_error)
