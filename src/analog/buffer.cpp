@@ -47,12 +47,11 @@ void VariableGainBuffer::reset() {
   tail_ = {};
 }
 
-backend::VgaTailCoeffs VariableGainBuffer::tail_coeffs(double dt_ps) {
-  // Every value is a pure function of (config, vctrl_, dt), so the solo
-  // and batch paths and all backends agree bitwise. amp_frac is hoisted as
-  // amp - (amp*frac)*droop rather than amp*(1 - frac*droop): one fewer
-  // multiply on the serially-dependent droop chain.
-  backend::VgaTailCoeffs c;
+void VariableGainBuffer::derive_tail(double dt_ps) {
+  // amp_frac is hoisted as amp - (amp*frac)*droop rather than
+  // amp*(1 - frac*droop): one fewer multiply on the serially-dependent
+  // droop chain.
+  backend::VgaTailCoeffs& c = tail_c_;
   c.amp = amplitude();
   c.amp_frac = c.amp * cfg_.droop_frac;
   c.max_step = cfg_.slew_v_per_ps * dt_ps;
@@ -61,34 +60,55 @@ backend::VgaTailCoeffs VariableGainBuffer::tail_coeffs(double dt_ps) {
   c.inv_max_step = c.max_step > 0.0 ? 1.0 / c.max_step : 0.0;
   c.alpha = 1.0 - util::det_exp(-dt_ps / cfg_.droop_tau_ps);
   slew_.prime(dt_ps);
-  c.slew = slew_.primed_coeffs();
-  return c;
+  c.slew = slew_.blk_;
 }
 
-void VariableGainBuffer::process_block(const double* in, double* out,
-                                       std::size_t n, double dt_ps) {
-  util::ScratchBuffer noise(n);
-  util::ScratchBuffer lim(n);
+void VariableGainBuffer::process_lanes(VariableGainBuffer* const* b,
+                                       std::size_t w, const double* in,
+                                       double* out, std::size_t n,
+                                       double dt_ps) {
   const backend::Kernels& k = backend::active();
-  input_.process_block(in, out, n, dt_ps);
-  lpf_.process_block(out, out, n, dt_ps);
-  noise_.process_block(noise.data(), n, dt_ps);
+  util::ScratchBuffer noise(n * w);
+  util::ScratchBuffer lim(n * w);
+  util::LaneArray<TanhLimiter*> input(b, w, &VariableGainBuffer::input_);
+  util::LaneArray<SinglePoleFilter*> lpf(b, w, &VariableGainBuffer::lpf_);
+  util::LaneArray<NoiseSource*> src(b, w, &VariableGainBuffer::noise_);
+  TanhLimiter::process_lanes(input.data(), w, in, out, n, dt_ps);
+  SinglePoleFilter::process_lanes(lpf.data(), w, out, out, n, dt_ps);
+  NoiseSource::process_lanes(src.data(), w, noise.data(), n, dt_ps);
   // Unit-amplitude limiting output stage. Its argument is feedforward —
   // it depends only on the filtered input plus noise, not on the
   // droop/slew recursion — so the tanh pass is hoisted out of the
   // recursion into the elementwise tanh_stage kernel (the AVX2 backend's
   // biggest win in this element).
-  k.tanh_stage(out, noise.data(), lim.data(), n, cfg_.output_gain,
-               cfg_.output_ref_v, 1.0);
+  util::LaneArray<double> gain(
+      w, [&](std::size_t s) { return b[s]->cfg_.output_gain; });
+  util::LaneArray<double> ref(
+      w, [&](std::size_t s) { return b[s]->cfg_.output_ref_v; });
+  util::LaneArray<double> unit(w, [](std::size_t) { return 1.0; });
+  k.tanh_stage_batch(out, noise.data(), lim.data(), n, w, gain.data(),
+                     ref.data(), unit.data());
   // The (droop-sagged) half-swing is applied inside the tail: bias droop
   // models the output stage's tail current sagging with recent switching
   // activity (fraction of time spent slew-limited), the paper's Fig. 15
   // roll-off mechanism. The recursion feeds back sample-to-sample through
-  // a clamp, so it stays a serial kernel on every backend (the AVX2 table
-  // points at the shared scalar definition).
-  const backend::VgaTailCoeffs c = tail_coeffs(dt_ps);
-  k.vga_tail(lim.data(), out, n, c, slew_.state(), tail_);
-  out_pole_.process_block(out, out, n, dt_ps);
+  // a clamp, so it stays serial in time on every backend (the AVX2 table
+  // runs it four lanes wide, and solo through the shared scalar
+  // definition).
+  util::LaneArray<const backend::VgaTailCoeffs*> tail_c(
+      w, [&](std::size_t s) {
+        b[s]->derive_tail(dt_ps);
+        return &b[s]->tail_c_;
+      });
+  util::LaneArray<backend::SlewState*> slew(
+      w, [&](std::size_t s) { return &b[s]->slew_.st_; });
+  util::LaneArray<backend::VgaTailState*> tail(b, w,
+                                                &VariableGainBuffer::tail_);
+  k.vga_tail_batch(lim.data(), out, n, w, tail_c.data(), slew.data(),
+                   tail.data());
+  util::LaneArray<SinglePoleFilter*> out_pole(b, w,
+                                              &VariableGainBuffer::out_pole_);
+  SinglePoleFilter::process_lanes(out_pole.data(), w, out, out, n, dt_ps);
 }
 
 LimitingBuffer::LimitingBuffer(const LimitingBufferConfig& cfg, util::Rng rng)
@@ -108,17 +128,28 @@ void LimitingBuffer::reset() {
   slew_.reset();
 }
 
-void LimitingBuffer::process_block(const double* in, double* out,
+void LimitingBuffer::process_lanes(LimitingBuffer* const* b, std::size_t w,
+                                   const double* in, double* out,
                                    std::size_t n, double dt_ps) {
-  util::ScratchBuffer noise(n);
-  input_.process_block(in, out, n, dt_ps);
-  lpf_.process_block(out, out, n, dt_ps);
-  noise_.process_block(noise.data(), n, dt_ps);
-  // Elementwise limiting stage through the backend tanh_stage kernel —
+  util::ScratchBuffer noise(n * w);
+  util::LaneArray<TanhLimiter*> input(b, w, &LimitingBuffer::input_);
+  util::LaneArray<SinglePoleFilter*> lpf(b, w, &LimitingBuffer::lpf_);
+  util::LaneArray<NoiseSource*> src(b, w, &LimitingBuffer::noise_);
+  TanhLimiter::process_lanes(input.data(), w, in, out, n, dt_ps);
+  SinglePoleFilter::process_lanes(lpf.data(), w, out, out, n, dt_ps);
+  NoiseSource::process_lanes(src.data(), w, noise.data(), n, dt_ps);
+  // Elementwise limiting stage through the backend tanh_stage kernels —
   // bit-exact against swing * det_tanh(gain * x / ref) on every backend.
-  backend::active().tanh_stage(out, noise.data(), out, n, cfg_.output_gain,
-                               cfg_.output_ref_v, cfg_.out_swing_v);
-  slew_.process_block(out, out, n, dt_ps);
+  util::LaneArray<double> gain(
+      w, [&](std::size_t s) { return b[s]->cfg_.output_gain; });
+  util::LaneArray<double> ref(
+      w, [&](std::size_t s) { return b[s]->cfg_.output_ref_v; });
+  util::LaneArray<double> swing(
+      w, [&](std::size_t s) { return b[s]->cfg_.out_swing_v; });
+  backend::active().tanh_stage_batch(out, noise.data(), out, n, w,
+                                     gain.data(), ref.data(), swing.data());
+  util::LaneArray<SlewRateLimiter*> slew(b, w, &LimitingBuffer::slew_);
+  SlewRateLimiter::process_lanes(slew.data(), w, out, out, n, dt_ps);
 }
 
 }  // namespace gdelay::analog

@@ -89,26 +89,26 @@ class VariableGainBuffer final : public AnalogElement {
     return std::make_unique<VariableGainBuffer>(*this);
   }
   void reset() override;
-  /// Stage-major block path: tanh pair, bandwidth pole and batched noise
-  /// run as whole-block passes; the droop/slew/output recursion — whose
-  /// state feeds back sample-to-sample — runs as one fused scalar loop
-  /// with every dt-dependent coefficient hoisted. Vctrl is read once per
-  /// call, so Vctrl modulation (jitter injection) runs n == 1 calls.
+  /// The lane pass at w == 1. Vctrl is read once per call, so Vctrl
+  /// modulation (jitter injection) runs n == 1 calls.
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override;
-
-  /// Hoists the droop/slew-tail coefficients for (vctrl_, dt_ps) — every
-  /// value a pure function of the config, bit-equal between paths.
-  /// Public (with the part accessors below) so the batch executor can
-  /// run this stage's exact pass sequence through the batched kernels.
-  backend::VgaTailCoeffs tail_coeffs(double dt_ps);
-  SinglePoleFilter& lpf() { return lpf_; }
-  NoiseSource& noise() { return noise_; }
-  SlewRateLimiter& slew_limiter() { return slew_; }
-  SinglePoleFilter& out_pole() { return out_pole_; }
-  backend::VgaTailState& tail_state() { return tail_; }
+                     double dt_ps) override {
+    run_as_lane(this, in, out, n, dt_ps);
+  }
+  /// Lane pass (see element.h), stage-major: tanh pair, bandwidth pole
+  /// and batched noise run as whole-block passes; the droop/slew
+  /// recursion — whose state feeds back sample-to-sample — runs as one
+  /// fused kernel with every dt-dependent coefficient hoisted; then the
+  /// output-network pole.
+  static void process_lanes(VariableGainBuffer* const* b, std::size_t w,
+                            const double* in, double* out, std::size_t n,
+                            double dt_ps);
 
  private:
+  /// Derives tail_c_ for (vctrl_, dt_ps) — every value a pure function
+  /// of the config, so all backends and widths agree bitwise.
+  void derive_tail(double dt_ps);
+
   VgaBufferConfig cfg_;
   double vctrl_;
   TanhLimiter input_;
@@ -116,6 +116,7 @@ class VariableGainBuffer final : public AnalogElement {
   NoiseSource noise_;
   SlewRateLimiter slew_;
   SinglePoleFilter out_pole_;
+  backend::VgaTailCoeffs tail_c_;  // derived afresh by every block
   backend::VgaTailState tail_;
 };
 
@@ -148,13 +149,15 @@ class LimitingBuffer final : public AnalogElement {
   }
   void reset() override;
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override;
-
-  /// Batch-executor part accessors (the tanh stages are parameterized by
-  /// config() alone, so only the stateful parts need exposing).
-  SinglePoleFilter& lpf() { return lpf_; }
-  NoiseSource& noise() { return noise_; }
-  SlewRateLimiter& slew_limiter() { return slew_; }
+                     double dt_ps) override {
+    run_as_lane(this, in, out, n, dt_ps);
+  }
+  /// Lane pass (see element.h): input tanh pair, bandwidth pole,
+  /// band-limited noise folded into the limiting output stage, output
+  /// slew.
+  static void process_lanes(LimitingBuffer* const* b, std::size_t w,
+                            const double* in, double* out, std::size_t n,
+                            double dt_ps);
 
  private:
   LimitingBufferConfig cfg_;

@@ -76,13 +76,28 @@ void NoiseSource::prime(double dt_ps) {
 }
 
 void NoiseSource::process_block(double* out, std::size_t n, double dt_ps) {
-  if (sigma_ == 0.0) {
-    std::fill(out, out + n, 0.0);
-    return;
-  }
-  prime(dt_ps);
-  rng_.fill_gaussian(out, n, 0.0, blk_sx_);
-  backend::active().one_pole(out, out, n, blk_alpha_, st_);
+  NoiseSource* self = this;
+  process_lanes(&self, 1, out, n, dt_ps);
+}
+
+void NoiseSource::process_lanes(NoiseSource* const* src, std::size_t w,
+                                double* out, std::size_t n, double dt_ps) {
+  // A silent lane (sigma 0) draws nothing: its column is +0.0, which its
+  // filter, at rest since construction, keeps at exactly +0.0.
+  util::LaneArray<double> alpha(w, [&](std::size_t s) {
+    src[s]->prime(dt_ps);
+    return src[s]->blk_alpha_;
+  });
+  util::LaneArray<backend::OnePoleState*> st(src, w, &NoiseSource::st_);
+  for_each_lane_column(nullptr, out, n, w,
+                       [&](std::size_t s, const double*, double* y) {
+                         NoiseSource& ns = *src[s];
+                         if (ns.sigma_ == 0.0)
+                           std::fill(y, y + n, 0.0);
+                         else
+                           ns.rng_.fill_gaussian(y, n, 0.0, ns.blk_sx_);
+                       });
+  backend::active().one_pole_batch(out, out, n, w, alpha.data(), st.data());
 }
 
 sig::Waveform NoiseSource::waveform(double t0_ps, double dt_ps,

@@ -75,6 +75,11 @@ class NoiseSource {
   /// the Gaussian draws batched. Chunking never changes the bytes.
   void process_block(double* out, std::size_t n, double dt_ps);
 
+  /// Lane pass (see element.h): `w` sources into interleaved lanes, each
+  /// drawing from its own RNG in the solo order.
+  static void process_lanes(NoiseSource* const* src, std::size_t w,
+                            double* out, std::size_t n, double dt_ps);
+
   /// Next noise sample, advancing dt picoseconds: process_block(n == 1).
   double step(double dt_ps) {
     double out;
@@ -85,20 +90,10 @@ class NoiseSource {
   /// Renders `n` samples as a waveform on the given grid.
   sig::Waveform waveform(double t0_ps, double dt_ps, std::size_t n);
 
-  /// (Re)derives the dt-dependent filter coefficients. Public so the
-  /// batch executor can prime a stream before reading the accessors
-  /// below; process_block() primes itself, so solo callers never need it.
+ private:
+  /// (Re)derives the dt-dependent filter coefficients.
   void prime(double dt_ps);
 
-  /// Batch-executor hooks: the primed coefficients, the RNG (same
-  /// per-stream draw order as the solo path — fill_gaussian is
-  /// chunk-invariant by the Rng contract) and the recursion state.
-  double primed_alpha() const { return blk_alpha_; }
-  double primed_sigma_x() const { return blk_sx_; }
-  util::Rng& rng() { return rng_; }
-  backend::OnePoleState& pole_state() { return st_; }
-
- private:
   double sigma_;
   double bw_;
   util::Rng rng_;

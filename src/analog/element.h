@@ -1,11 +1,22 @@
 // Base interface for behavioral analog elements.
 //
 // Every element is a causal, stateful, sample-in/sample-out process.
-// `process_block(in, out, n, dt)` is its one implementation: it advances
-// `n` sample periods of `dt` and writes the output voltages. Overrides
-// hoist dt-dependent coefficients out of the sample loop and batch the
-// noise draws. Elements compose by nesting block calls (or `Cascade`),
-// and `process()` runs a whole waveform through in kBlockSamples chunks.
+// `process_block(in, out, n, dt)` advances `n` sample periods of `dt` and
+// writes the output voltages. Overrides hoist dt-dependent coefficients
+// out of the sample loop and batch the noise draws. Elements compose by
+// nesting block calls (or `Cascade`), and `process()` runs a whole
+// waveform through in kBlockSamples chunks.
+//
+// For the elements of the delay channel's signal chain (the leaf filters,
+// NoiseSource, both buffers, TransmissionLine, the coarse and fine blocks
+// and the channel), that one implementation is a static lane pass,
+// `process_lanes(lanes, w, in, out, n, dt)`: it advances `w` elements of
+// one type in lockstep over interleaved buffers buf[i*w + s], each lane
+// with its own element's coefficients and state. Their process_block()
+// is that pass at w == 1 on the element itself (run_as_lane), and
+// core::BatchRunner runs the channel's pass at the batch width. A lane
+// pass names only its own element's parts and calls their lane passes,
+// so the chain's order is written once, in each element's .cpp.
 //
 // `step(vin, dt)` is derived, not overridden: it is process_block() with
 // n == 1. A control port that varies *during* a run, such as the delay
@@ -21,6 +32,7 @@
 #include <vector>
 
 #include "signal/waveform.h"
+#include "util/scratch.h"
 
 namespace gdelay::analog {
 
@@ -28,6 +40,35 @@ namespace gdelay::analog {
 /// amortize coefficient derivation and virtual dispatch, small enough
 /// that a handful of stage-major scratch buffers stay cache-resident.
 inline constexpr std::size_t kBlockSamples = 1024;
+
+/// Calls `f(s, x, y)` for each of the `w` lanes of a lane pass, with lane
+/// s's `n` samples as contiguous columns: at w == 1 `x` and `y` are `in`
+/// and `out` themselves; wider, `x` is gathered from `in` and `y`
+/// scattered to `out` through one scratch column. `in` may be nullptr
+/// (then so is `x`). For the parts of a lane pass that are per lane by
+/// nature: the noise draws and the transmission-line ring walk.
+template <typename F>
+void for_each_lane_column(const double* in, double* out, std::size_t n,
+                          std::size_t w, F&& f) {
+  if (w == 1) {
+    f(std::size_t{0}, in, out);
+    return;
+  }
+  util::ScratchBuffer col(n);
+  for (std::size_t s = 0; s < w; ++s) {
+    if (in != nullptr)
+      for (std::size_t i = 0; i < n; ++i) col[i] = in[i * w + s];
+    f(s, in != nullptr ? col.data() : nullptr, col.data());
+    for (std::size_t i = 0; i < n; ++i) out[i * w + s] = col[i];
+  }
+}
+
+/// The process_block() of a chain element: its lane pass at w == 1.
+template <typename E>
+void run_as_lane(E* self, const double* in, double* out, std::size_t n,
+                 double dt_ps) {
+  E::process_lanes(&self, 1, in, out, n, dt_ps);
+}
 
 class AnalogElement {
  public:

@@ -28,9 +28,14 @@ double SinglePoleFilter::alpha_for(double dt_ps) {
   return blk_alpha_;
 }
 
-void SinglePoleFilter::process_block(const double* in, double* out,
-                                     std::size_t n, double dt_ps) {
-  backend::active().one_pole(in, out, n, alpha_for(dt_ps), st_);
+void SinglePoleFilter::process_lanes(SinglePoleFilter* const* f,
+                                     std::size_t w, const double* in,
+                                     double* out, std::size_t n,
+                                     double dt_ps) {
+  util::LaneArray<double> alpha(
+      w, [&](std::size_t s) { return f[s]->alpha_for(dt_ps); });
+  util::LaneArray<backend::OnePoleState*> st(f, w, &SinglePoleFilter::st_);
+  backend::active().one_pole_batch(in, out, n, w, alpha.data(), st.data());
 }
 
 SlewRateLimiter::SlewRateLimiter(double slew_v_per_ps, double tau_lin_ps,
@@ -54,10 +59,15 @@ void SlewRateLimiter::prime(double dt_ps) {
   blk_.leak = blk_.has_leak ? 1.0 - util::det_exp(-dt_ps / leak_tau_) : 0.0;
 }
 
-void SlewRateLimiter::process_block(const double* in, double* out,
+void SlewRateLimiter::process_lanes(SlewRateLimiter* const* l, std::size_t w,
+                                    const double* in, double* out,
                                     std::size_t n, double dt_ps) {
-  prime(dt_ps);
-  backend::active().slew(in, out, n, blk_, st_);
+  util::LaneArray<const backend::SlewCoeffs*> c(w, [&](std::size_t s) {
+    l[s]->prime(dt_ps);
+    return &l[s]->blk_;
+  });
+  util::LaneArray<backend::SlewState*> st(l, w, &SlewRateLimiter::st_);
+  backend::active().slew_batch(in, out, n, w, c.data(), st.data());
 }
 
 TanhLimiter::TanhLimiter(double gain, double vsat_v)
@@ -66,11 +76,15 @@ TanhLimiter::TanhLimiter(double gain, double vsat_v)
     throw std::invalid_argument("TanhLimiter: gain and vsat must be > 0");
 }
 
-void TanhLimiter::process_block(const double* in, double* out, std::size_t n,
+void TanhLimiter::process_lanes(TanhLimiter* const* t, std::size_t w,
+                                const double* in, double* out, std::size_t n,
                                 double /*dt_ps*/) {
-  // Stateless; the backend tanh_stage kernel is elementwise and (on
+  // Stateless; the backend tanh_stage kernels are elementwise and (on
   // every backend) bit-exact against vsat * det_tanh(gain * x / vsat).
-  backend::active().tanh_stage(in, nullptr, out, n, gain_, vsat_, vsat_);
+  util::LaneArray<double> gain(w, [&](std::size_t s) { return t[s]->gain_; });
+  util::LaneArray<double> vsat(w, [&](std::size_t s) { return t[s]->vsat_; });
+  backend::active().tanh_stage_batch(in, nullptr, out, n, w, gain.data(),
+                                     vsat.data(), vsat.data());
 }
 
 void GainStage::process_block(const double* in, double* out, std::size_t n,

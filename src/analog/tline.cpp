@@ -16,11 +16,19 @@ void TransmissionLine::reset() {
   pole_.reset();
 }
 
-void TransmissionLine::process_block(const double* in, double* out,
-                                     std::size_t n, double dt_ps) {
-  delay_.process_block(in, out, n, dt_ps);
-  for (std::size_t i = 0; i < n; ++i) out[i] *= loss_factor_;
-  if (has_pole_) pole_.process_block(out, out, n, dt_ps);
+void TransmissionLine::process_lanes(TransmissionLine* const* t,
+                                     std::size_t w, const double* in,
+                                     double* out, std::size_t n,
+                                     double dt_ps) {
+  for_each_lane_column(in, out, n, w,
+                       [&](std::size_t s, const double* x, double* y) {
+                         TransmissionLine& line = *t[s];
+                         line.delay_.process_block(x, y, n, dt_ps);
+                         for (std::size_t i = 0; i < n; ++i)
+                           y[i] *= line.loss_factor_;
+                         if (line.has_pole_)
+                           line.pole_.process_block(y, y, n, dt_ps);
+                       });
 }
 
 double trace_loss_db(double delay_ps, double db_per_100ps) {

@@ -32,13 +32,14 @@ class TransmissionLine final : public AnalogElement {
   }
   void reset() override;
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override;
-
-  /// Batch-executor part accessors.
-  FractionalDelay& frac_delay() { return delay_; }
-  double loss_factor() const { return loss_factor_; }
-  bool has_pole() const { return has_pole_; }
-  SinglePoleFilter& pole() { return pole_; }
+                     double dt_ps) override {
+    run_as_lane(this, in, out, n, dt_ps);
+  }
+  /// Lane pass (see element.h): `w` lines over interleaved lanes. The
+  /// ring walk is per lane by nature, so each lane runs on its column.
+  static void process_lanes(TransmissionLine* const* t, std::size_t w,
+                            const double* in, double* out, std::size_t n,
+                            double dt_ps);
 
  private:
   TransmissionLineConfig cfg_;

@@ -4,9 +4,9 @@
 // the one-pole/RC recursions, slew limiting, the Box-Muller noise
 // transform, gain scaling — is expressed as a *kernel*: a function over
 // contiguous sample arrays. A `Kernels` table bundles one implementation
-// of each kernel, and the elements' process_block() overrides call
-// through the active table instead of open-coding the loops. Two tables
-// ship today:
+// of each kernel, and the elements' block and lane passes call through
+// the active table instead of open-coding the loops. Two tables ship
+// today:
 //
 //   scalar  The reference oracle: plain loops over the inline reference
 //           steps below, one sample at a time, so any block partition —
@@ -222,6 +222,10 @@ struct Kernels {
   // the sample stream into batch calls. This is what finally vectorizes
   // the serial-by-contract recursions (slew, droop tail): they stay
   // serial in time but run 4 streams wide per AVX2 iteration.
+  // Every element's solo process_block() is its lane pass at w == 1, so
+  // each *_batch kernel forwards w == 1 to the same table's solo kernel:
+  // the contract makes the bytes equal, and the solo path keeps its
+  // time-vectorized form (the AVX2 tanh and one-pole scan).
 
   /// Batched tanh_stage: per-stream gain/ref/post; add is an interleaved
   /// buffer of the same shape or nullptr.

@@ -432,11 +432,14 @@ void k_one_pole(const double* x, double* out, std::size_t n, double alpha,
 // group whose per-stream flags diverge) drops to per-stream scalar loops
 // over the identical arithmetic, so the batch contract — each stream
 // bit-identical to its solo run on THIS table — holds for every width
-// and every stream-to-lane assignment.
+// and every stream-to-lane assignment. A single lane (w == 1: every
+// solo process_block()) forwards to this table's solo kernel, keeping
+// the solo path on the time-vectorized tanh and one-pole scan.
 
 void k_tanh_stage_batch(const double* x, const double* add, double* out,
                         std::size_t n, std::size_t w, const double* gain,
                         const double* ref, const double* post) {
+  if (w == 1) return k_tanh_stage(x, add, out, n, *gain, *ref, *post);
   std::size_t s0 = 0;
   for (; s0 + 4 <= w; s0 += 4) {
     const __m256d gv = _mm256_loadu_pd(gain + s0);
@@ -494,6 +497,7 @@ inline void batch_one_pole_lane(const double* x, double* out, std::size_t n,
 void k_one_pole_batch(const double* x, double* out, std::size_t n,
                       std::size_t w, const double* alpha,
                       OnePoleState* const* st) {
+  if (w == 1) return k_one_pole(x, out, n, *alpha, *st[0]);
   for (std::size_t s = 0; s < w; ++s) {
     OnePoleState& S = *st[s];
     if (alpha[s] != S.alpha) {
@@ -620,6 +624,7 @@ inline void batch_vga_tail_lane(const double* lim, double* out, std::size_t n,
 
 void k_slew_batch(const double* x, double* out, std::size_t n, std::size_t w,
                   const SlewCoeffs* const* c, SlewState* const* st) {
+  if (w == 1) return ref::slew(x, out, n, *c[0], *st[0]);
   std::size_t s0 = 0;
   for (; s0 + 4 <= w; s0 += 4) {
     const bool has_lin = c[s0]->has_lin;
@@ -682,6 +687,7 @@ void k_slew_batch(const double* x, double* out, std::size_t n, std::size_t w,
 void k_vga_tail_batch(const double* lim, double* out, std::size_t n,
                       std::size_t w, const VgaTailCoeffs* const* c,
                       SlewState* const* slew_st, VgaTailState* const* d) {
+  if (w == 1) return ref::vga_tail(lim, out, n, *c[0], *slew_st[0], *d[0]);
   std::size_t s0 = 0;
   for (; s0 + 4 <= w; s0 += 4) {
     const bool has_lin = c[s0]->slew.has_lin;

@@ -84,11 +84,13 @@ void vga_tail(const double* lim, double* out, std::size_t n,
 // Lane-batched kernels over `w` interleaved streams (buf[i*w + s]). Each
 // stream is walked stream-major with the solo reference arithmetic on its
 // strided column, so per-stream output is byte-identical to the solo
-// kernel by construction — for any width and any lane assignment.
+// kernel by construction — for any width and any lane assignment. A
+// single lane (w == 1, every solo process_block()) runs the solo kernel.
 
 void tanh_stage_batch(const double* x, const double* add, double* out,
                       std::size_t n, std::size_t w, const double* gain,
                       const double* ref, const double* post) {
+  if (w == 1) return tanh_stage(x, add, out, n, *gain, *ref, *post);
   if (add != nullptr) {
     for (std::size_t s = 0; s < w; ++s) {
       const double g = gain[s], r = ref[s], p = post[s];
@@ -107,6 +109,7 @@ void tanh_stage_batch(const double* x, const double* add, double* out,
 void one_pole_batch(const double* x, double* out, std::size_t n,
                     std::size_t w, const double* alpha,
                     OnePoleState* const* st) {
+  if (w == 1) return one_pole(x, out, n, *alpha, *st[0]);
   for (std::size_t s = 0; s < w; ++s) {
     double y = st[s]->y;
     const double a = alpha[s];
@@ -120,6 +123,7 @@ void one_pole_batch(const double* x, double* out, std::size_t n,
 
 void slew_batch(const double* x, double* out, std::size_t n, std::size_t w,
                 const SlewCoeffs* const* c, SlewState* const* st) {
+  if (w == 1) return slew(x, out, n, *c[0], *st[0]);
   for (std::size_t s = 0; s < w; ++s) {
     SlewState loc = *st[s];
     for (std::size_t i = 0; i < n; ++i)
@@ -131,6 +135,7 @@ void slew_batch(const double* x, double* out, std::size_t n, std::size_t w,
 void vga_tail_batch(const double* lim, double* out, std::size_t n,
                     std::size_t w, const VgaTailCoeffs* const* c,
                     SlewState* const* slew_st, VgaTailState* const* d) {
+  if (w == 1) return vga_tail(lim, out, n, *c[0], *slew_st[0], *d[0]);
   for (std::size_t s = 0; s < w; ++s) {
     SlewState sl = *slew_st[s];
     VgaTailState dd = *d[s];

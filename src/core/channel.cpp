@@ -11,10 +11,15 @@ void VariableDelayChannel::reset() {
   fine_.reset();
 }
 
-void VariableDelayChannel::process_block(const double* in, double* out,
-                                         std::size_t n, double dt_ps) {
-  coarse_.process_block(in, out, n, dt_ps);
-  fine_.process_block(out, out, n, dt_ps);
+void VariableDelayChannel::process_lanes(VariableDelayChannel* const* ch,
+                                         std::size_t w, const double* in,
+                                         double* out, std::size_t n,
+                                         double dt_ps) {
+  util::LaneArray<CoarseDelayBlock*> coarse(ch, w,
+                                            &VariableDelayChannel::coarse_);
+  CoarseDelayBlock::process_lanes(coarse.data(), w, in, out, n, dt_ps);
+  util::LaneArray<FineDelayLine*> fine(ch, w, &VariableDelayChannel::fine_);
+  FineDelayLine::process_lanes(fine.data(), w, out, out, n, dt_ps);
 }
 
 }  // namespace gdelay::core

@@ -53,10 +53,16 @@ class VariableDelayChannel final : public analog::AnalogElement {
     return std::make_unique<VariableDelayChannel>(*this);
   }
   void reset() override;
-  /// Stage-major block path: the whole block through the coarse section,
-  /// then through the fine line.
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override;
+                     double dt_ps) override {
+    analog::run_as_lane(this, in, out, n, dt_ps);
+  }
+  /// Lane pass (see element.h), stage-major: the whole block through the
+  /// coarse section, then through the fine line. core::BatchRunner runs
+  /// it at the batch width; process_block() is it at w == 1.
+  static void process_lanes(VariableDelayChannel* const* ch, std::size_t w,
+                            const double* in, double* out, std::size_t n,
+                            double dt_ps);
 
  private:
   ChannelConfig cfg_;

@@ -47,16 +47,28 @@ void CoarseDelayBlock::reset() {
   mux_.reset();
 }
 
-void CoarseDelayBlock::process_block(const double* in, double* out,
-                                     std::size_t n, double dt_ps) {
-  util::ScratchBuffer fan(n), tmp(n);
-  fanout_.process_block(in, fan.data(), n, dt_ps);
-  for (int i = 0; i < kTaps; ++i) {
-    double* dst = (i == selected_) ? out : tmp.data();
-    taps_[static_cast<std::size_t>(i)].process_block(fan.data(), dst, n,
-                                                     dt_ps);
+void CoarseDelayBlock::process_lanes(CoarseDelayBlock* const* c,
+                                     std::size_t w, const double* in,
+                                     double* out, std::size_t n,
+                                     double dt_ps) {
+  util::ScratchBuffer fan(n * w), tap(n * w);
+  util::LaneArray<analog::LimitingBuffer*> fanout(c, w,
+                                                  &CoarseDelayBlock::fanout_);
+  analog::LimitingBuffer::process_lanes(fanout.data(), w, in, fan.data(), n,
+                                        dt_ps);
+  for (int t = 0; t < kTaps; ++t) {
+    util::LaneArray<analog::TransmissionLine*> line(w, [&](std::size_t s) {
+      return &c[s]->taps_[static_cast<std::size_t>(t)];
+    });
+    analog::TransmissionLine::process_lanes(line.data(), w, fan.data(),
+                                            tap.data(), n, dt_ps);
+    for (std::size_t s = 0; s < w; ++s) {
+      if (c[s]->selected_ != t) continue;
+      for (std::size_t i = 0; i < n; ++i) out[i * w + s] = tap[i * w + s];
+    }
   }
-  mux_.process_block(out, out, n, dt_ps);
+  util::LaneArray<analog::LimitingBuffer*> mux(c, w, &CoarseDelayBlock::mux_);
+  analog::LimitingBuffer::process_lanes(mux.data(), w, out, out, n, dt_ps);
 }
 
 }  // namespace gdelay::core

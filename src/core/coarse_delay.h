@@ -61,17 +61,18 @@ class CoarseDelayBlock final : public analog::AnalogElement {
     return std::make_unique<CoarseDelayBlock>(*this);
   }
   void reset() override;
-  /// Stage-major block path. All four taps are advanced every call, each
-  /// as one whole-block pass, so their state tracks the fanout signal and
-  /// the selection may change mid-run, exactly like flipping the real
-  /// select lines.
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override;
-
-  /// Batch-executor part accessors.
-  analog::LimitingBuffer& fanout() { return fanout_; }
-  analog::TransmissionLine& tap(int i) { return taps_[i]; }
-  analog::LimitingBuffer& mux() { return mux_; }
+                     double dt_ps) override {
+    analog::run_as_lane(this, in, out, n, dt_ps);
+  }
+  /// Lane pass (see element.h), stage-major: fanout, then all four taps —
+  /// advanced every call, each as one whole-block pass, so their state
+  /// tracks the fanout signal and the selection may change mid-run,
+  /// exactly like flipping the real select lines — then the mux on each
+  /// lane's selected tap.
+  static void process_lanes(CoarseDelayBlock* const* c, std::size_t w,
+                            const double* in, double* out, std::size_t n,
+                            double dt_ps);
 
  private:
   CoarseDelayConfig cfg_;

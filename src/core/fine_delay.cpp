@@ -40,12 +40,17 @@ void FineDelayLine::reset() {
   out_.reset();
 }
 
-void FineDelayLine::process_block(const double* in, double* out,
+void FineDelayLine::process_lanes(FineDelayLine* const* f, std::size_t w,
+                                  const double* in, double* out,
                                   std::size_t n, double dt_ps) {
-  stages_.front().process_block(in, out, n, dt_ps);
-  for (std::size_t s = 1; s < stages_.size(); ++s)
-    stages_[s].process_block(out, out, n, dt_ps);
-  out_.process_block(out, out, n, dt_ps);
+  for (std::size_t st = 0; st < f[0]->stages_.size(); ++st) {
+    util::LaneArray<analog::VariableGainBuffer*> stage(
+        w, [&](std::size_t s) { return &f[s]->stages_[st]; });
+    analog::VariableGainBuffer::process_lanes(
+        stage.data(), w, st == 0 ? in : out, out, n, dt_ps);
+  }
+  util::LaneArray<analog::LimitingBuffer*> last(f, w, &FineDelayLine::out_);
+  analog::LimitingBuffer::process_lanes(last.data(), w, out, out, n, dt_ps);
 }
 
 }  // namespace gdelay::core

@@ -56,14 +56,21 @@ class FineDelayLine final : public analog::AnalogElement {
   }
   void reset() override;
 
-  /// Advances `n` samples stage-major (whole block through each stage in
-  /// turn) at the current Vctrl. Jitter injection varies Vctrl during the
-  /// run by calling set_vctrl() between n == 1 calls.
+  /// Advances `n` samples at the current Vctrl: the lane pass at w == 1.
+  /// Jitter injection varies Vctrl during the run by calling set_vctrl()
+  /// between n == 1 calls.
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override;
+                     double dt_ps) override {
+    analog::run_as_lane(this, in, out, n, dt_ps);
+  }
+  /// Lane pass (see element.h), stage-major: the whole block through
+  /// each stage in turn, then the output stage. Every lane must have the
+  /// same stage count.
+  static void process_lanes(FineDelayLine* const* f, std::size_t w,
+                            const double* in, double* out, std::size_t n,
+                            double dt_ps);
 
-  /// Batch-executor part accessors (core::BatchRunner drives the stages'
-  /// exact pass sequences through the lane-batched backend kernels).
+  /// The stages, for per-stage instrumentation and diagnostics.
   analog::VariableGainBuffer& stage(int i) { return stages_[i]; }
   analog::LimitingBuffer& output_stage() { return out_; }
 

@@ -24,9 +24,10 @@
 // N independent channel/fine-line chains (Monte-Carlo trials, sweep
 // points, board channels), core::BatchRunner (core/batch.h) is the
 // lane-batched counterpart of N Pipeline runs — it chunks identically
-// (kBlockSamples), drives each stream's exact pass sequence through the
-// batched backend kernels, and feeds one ISampleSink per stream, with
-// each stream's samples bit-identical to its solo Pipeline run.
+// (kBlockSamples), runs the chain's lane pass at the batch width (the
+// pass each solo process_block() runs at w == 1, see analog/element.h),
+// and feeds one ISampleSink per stream, with each stream's samples
+// bit-identical to its solo Pipeline run.
 #pragma once
 
 #include <cstddef>
