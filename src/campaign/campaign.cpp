@@ -9,16 +9,6 @@
 #include "util/serde.h"
 #include "util/thread_pool.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define GDELAY_CAMPAIGN_HAS_FORK 1
-#include <cerrno>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#else
-#define GDELAY_CAMPAIGN_HAS_FORK 0
-#endif
-
 namespace gdelay::campaign {
 
 // ---------------------------------------------------------------------------
@@ -147,10 +137,16 @@ std::vector<ShardRange> plan_shards(std::uint64_t n_units,
                                     std::size_t n_shards) {
   if (n_shards == 0)
     throw std::invalid_argument("plan_shards: need >= 1 shard");
+  // The boundary product n_units * s needs up to 128 bits; the quotient
+  // is at most n_units, so it fits back into 64.
+  const auto boundary = [&](std::size_t s) {
+    return static_cast<std::uint64_t>(
+        static_cast<unsigned __int128>(n_units) * s / n_shards);
+  };
   std::vector<ShardRange> ranges(n_shards);
   for (std::size_t s = 0; s < n_shards; ++s) {
-    ranges[s].begin = n_units * s / n_shards;
-    ranges[s].end = n_units * (s + 1) / n_shards;
+    ranges[s].begin = boundary(s);
+    ranges[s].end = boundary(s + 1);
   }
   return ranges;
 }
@@ -184,7 +180,6 @@ ResolvedSpec resolve(const CampaignSpec& spec) {
   r.spec = spec;
   r.n_shards = spec.n_shards ? spec.n_shards : default_shards();
   r.mode = spec.mode ? *spec.mode : default_mode();
-  if (r.mode == Mode::kFork && !fork_available()) r.mode = Mode::kThread;
   return r;
 }
 
@@ -195,7 +190,7 @@ struct ShardOutcome {
   bool complete = false;
 };
 
-// One payload format for checkpoints, fork pipes and worker result files:
+// One payload format for checkpoints and worker result files:
 //   u64 fingerprint  u32 shard  u64 next_unit  u8 resumed  u8 complete
 //   u32 n_accs  accumulator payloads in factory order
 std::string serialize_outcome(const ResolvedSpec& rs, std::size_t shard,
@@ -305,97 +300,6 @@ CampaignResult merge_outcomes(const ResolvedSpec& rs,
   return res;
 }
 
-#if GDELAY_CAMPAIGN_HAS_FORK
-
-void write_all(int fd, const char* data, std::size_t n) {
-  while (n > 0) {
-    const ssize_t k = ::write(fd, data, n);
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      return;  // Parent sees a short/invalid frame and reports the failure.
-    }
-    data += k;
-    n -= static_cast<std::size_t>(k);
-  }
-}
-
-std::string read_all(int fd) {
-  std::string out;
-  char buf[1 << 16];
-  for (;;) {
-    const ssize_t k = ::read(fd, buf, sizeof buf);
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("campaign: pipe read failed");
-    }
-    if (k == 0) return out;
-    out.append(buf, static_cast<std::size_t>(k));
-  }
-}
-
-std::vector<ShardOutcome> run_shards_fork(const ResolvedSpec& rs,
-                                          const std::vector<ShardRange>& ranges,
-                                          const AccumulatorFactory& factory,
-                                          const UnitFn& unit_fn) {
-  struct Child {
-    pid_t pid = -1;
-    int fd = -1;
-  };
-  // Fork every child before reading any pipe (and before touching the
-  // pool), so no child inherits a mid-operation pool state.
-  std::vector<Child> kids(rs.n_shards);
-  for (std::size_t s = 0; s < rs.n_shards; ++s) {
-    int fds[2];
-    if (::pipe(fds) != 0)
-      throw std::runtime_error("campaign: pipe() failed");
-    const pid_t pid = ::fork();
-    if (pid < 0) throw std::runtime_error("campaign: fork() failed");
-    if (pid == 0) {
-      ::close(fds[0]);
-      int code = 0;
-      try {
-        const ShardOutcome out = run_shard(rs, s, ranges[s], factory, unit_fn);
-        const std::string msg =
-            frame(kFrameShardState, serialize_outcome(rs, s, out));
-        write_all(fds[1], msg.data(), msg.size());
-      } catch (...) {
-        code = 3;
-      }
-      ::close(fds[1]);
-      ::_exit(code);
-    }
-    ::close(fds[1]);
-    kids[s].pid = pid;
-    kids[s].fd = fds[0];
-  }
-
-  // Drain pipes on the pool; each task reads its child to EOF and reaps
-  // it. The waitpid cannot park a worker indefinitely: EOF means the
-  // child has already closed its pipe end and is exiting. This is the
-  // scoped R11 allowance for campaign/ process orchestration.
-  return util::parallel_map(rs.n_shards, [&](std::size_t s) {
-    std::string bytes;
-    std::string io_error;
-    try {
-      bytes = read_all(kids[s].fd);
-    } catch (const std::exception& e) {
-      io_error = e.what();
-    }
-    ::close(kids[s].fd);
-    int status = 0;
-    while (::waitpid(kids[s].pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    if (!io_error.empty()) throw std::runtime_error(io_error);
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0)
-      throw std::runtime_error("campaign: shard " + std::to_string(s) +
-                               " worker process failed");
-    return deserialize_outcome(rs, s, factory,
-                               unframe(bytes, kFrameShardState));
-  });
-}
-
-#endif  // GDELAY_CAMPAIGN_HAS_FORK
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -420,13 +324,6 @@ CampaignResult run_campaign(const CampaignSpec& spec,
         return run_shard(rs, s, ranges[s], factory, unit_fn);
       });
       break;
-    case Mode::kFork:
-#if GDELAY_CAMPAIGN_HAS_FORK
-      outcomes = run_shards_fork(rs, ranges, factory, unit_fn);
-      break;
-#else
-      throw std::logic_error("campaign: fork mode unavailable in this build");
-#endif
   }
   return merge_outcomes(rs, ranges, std::move(outcomes));
 }

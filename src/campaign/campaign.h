@@ -1,10 +1,9 @@
 // Extreme-statistics campaign orchestration.
 //
 // A campaign is N independent work units folded into a set of mergeable
-// accumulators. The orchestrator shards the unit range over processes
-// (fork + pipe), pool threads, or a serial loop, checkpoints partial
-// accumulators so a killed campaign resumes where it stopped, and merges
-// shard states in shard order.
+// accumulators. The orchestrator shards the unit range over pool threads
+// or a serial loop, checkpoints partial accumulators so a killed campaign
+// resumes where it stopped, and merges shard states in shard order.
 //
 // The headline invariant is determinism: the merged result is
 // bit-identical for ANY shard count, ANY execution mode, and ANY resume
@@ -23,13 +22,12 @@
 //      (save(load(save(x))) == save(x)), and a resumed shard continues
 //      from state indistinguishable from the uninterrupted run.
 //
-// Processes vs threads: fork mode forks one child per shard BEFORE any
-// pipe is read (the callback survives by copy-on-write; no exec, no
-// argument marshalling), each child streams its framed shard state into a
-// pipe and _exit()s; the parent drains pipes on the pool and reaps with
-// waitpid. Where fork is unavailable the campaign falls back to pool
-// threads with identical results. Unit callbacks must not touch the
-// global thread pool themselves — shards already own the parallelism.
+// Threads vs processes: run_campaign() runs shards on pool threads or
+// serially. For crash isolation a driver runs each shard in its own
+// worker process with run_shard_to_file() and merges the framed result
+// files with merge_shard_reports(); `gdelay_tool campaign --mode exec`
+// does that. Unit callbacks must not touch the global thread pool
+// themselves — shards already own the parallelism.
 #pragma once
 
 #include <cstdint>
@@ -130,7 +128,7 @@ struct CampaignSpec {
   std::uint64_t n_units = 0;
   /// 0 = config::default_shards() (GDELAY_CAMPAIGN_SHARDS, default 4).
   std::size_t n_shards = 0;
-  /// Unset = config::default_mode() (GDELAY_CAMPAIGN_MODE, default fork).
+  /// Unset = config::default_mode() (GDELAY_CAMPAIGN_MODE, default thread).
   std::optional<Mode> mode;
   /// Directory for shard checkpoints; empty disables checkpointing.
   std::string checkpoint_dir;

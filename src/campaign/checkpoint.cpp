@@ -1,5 +1,7 @@
 #include "campaign/checkpoint.h"
 
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
@@ -78,10 +80,17 @@ void write_file_atomic(const std::string& path, const std::string& bytes) {
 std::optional<std::string> read_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (!f) return std::nullopt;
+  // Size first, then one read into a presized string. Anything that is
+  // not a regular file (a directory, a FIFO) reads as empty, which
+  // unframe() rejects as a truncated frame; a short read likewise leaves
+  // a frame that fails its size check.
   std::string out;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
+  struct stat st {};
+  if (::fstat(::fileno(f), &st) == 0 && S_ISREG(st.st_mode) &&
+      st.st_size > 0) {
+    out.resize(static_cast<std::size_t>(st.st_size));
+    out.resize(std::fread(out.data(), 1, out.size(), f));
+  }
   std::fclose(f);
   return out;
 }

@@ -1,7 +1,7 @@
 // Checkpoint framing and atomic file persistence.
 //
-// Every persisted campaign artifact — shard checkpoints, fork-pipe
-// payloads, exec-worker result files — travels inside one frame:
+// Every persisted campaign artifact — shard checkpoints and exec-worker
+// result files — travels inside one frame:
 //
 //   u32 magic 'GDCK'   u32 version   u32 kind   u64 payload size
 //   payload bytes      u64 XXH64(payload, seed 0)
@@ -36,7 +36,8 @@ std::string unframe(const std::string& bytes, std::uint32_t expect_kind);
 /// std::runtime_error on I/O failure.
 void write_file_atomic(const std::string& path, const std::string& bytes);
 
-/// Whole-file read; std::nullopt when the file does not exist.
+/// Whole-file read sized by one fstat; std::nullopt when the file cannot
+/// be opened. A path that is not a regular file reads as empty.
 std::optional<std::string> read_file(const std::string& path);
 
 /// Deletes a file if present; returns whether it existed.

@@ -1,7 +1,10 @@
 #include "campaign/config.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
+#include <system_error>
 
 namespace gdelay::campaign {
 
@@ -11,8 +14,6 @@ const char* mode_name(Mode m) {
       return "serial";
     case Mode::kThread:
       return "thread";
-    case Mode::kFork:
-      return "fork";
   }
   return "?";
 }
@@ -20,17 +21,8 @@ const char* mode_name(Mode m) {
 Mode parse_mode(const std::string& s) {
   if (s == "serial") return Mode::kSerial;
   if (s == "thread") return Mode::kThread;
-  if (s == "fork") return Mode::kFork;
   throw std::invalid_argument("campaign: unknown mode '" + s +
-                              "' (serial|thread|fork)");
-}
-
-bool fork_available() {
-#if defined(__unix__) || defined(__APPLE__)
-  return true;
-#else
-  return false;
-#endif
+                              "' (serial|thread)");
 }
 
 // The env reads below are covered by the scoped R2 allowlist entry for
@@ -40,15 +32,22 @@ bool fork_available() {
 Mode default_mode() {
   if (const char* env = std::getenv("GDELAY_CAMPAIGN_MODE"))
     return parse_mode(env);
-  return fork_available() ? Mode::kFork : Mode::kThread;
+  return Mode::kThread;
 }
 
 std::size_t default_shards() {
-  if (const char* env = std::getenv("GDELAY_CAMPAIGN_SHARDS")) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n >= 1) return static_cast<std::size_t>(n);
-  }
-  return 4;
+  const char* env = std::getenv("GDELAY_CAMPAIGN_SHARDS");
+  if (!env) return 4;
+  const char* end = env + std::strlen(env);
+  long n = 0;
+  // from_chars takes no leading space or '+'; a '-' parses but fails n >= 1.
+  const auto [ptr, ec] = std::from_chars(env, end, n);
+  if (ec != std::errc() || ptr != end || n < 1)
+    throw std::invalid_argument(
+        std::string("campaign: GDELAY_CAMPAIGN_SHARDS must be a whole "
+                    "positive number, got '") +
+        env + "'");
+  return static_cast<std::size_t>(n);
 }
 
 }  // namespace gdelay::campaign

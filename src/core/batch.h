@@ -32,6 +32,13 @@
 
 namespace gdelay::core {
 
+/// Streams per BatchRunner at the sites that fan lane groups out over the
+/// pool (calibration's clone sweeps, the service's kMeasure verification,
+/// bench_mc_matching): one AVX2 vector of lanes. Groups are a pure
+/// function of the stream index, and every stream is bit-identical to its
+/// solo run at any width, so this sets task layout, never output bytes.
+inline constexpr std::size_t kLaneGroup = 4;
+
 class BatchRunner {
  public:
   BatchRunner() = default;

@@ -20,7 +20,7 @@ meas::DelayMeterOptions meter_options(double settle_ps) {
 
 // Shared engine behind every clone-based measurement: runs `count`
 // programmed clones of `dev` through the lane-batched executor
-// (core/batch.h) in groups of four — one AVX2 lane group — with one
+// (core/batch.h) in groups of kLaneGroup streams, with one
 // thread-pool task per group, and reduces each output waveform with
 // `measure`. `program(clone, i)` applies the per-point programming
 // (fork_noise(i), Vctrl, tap). Each clone's waveform is bit-identical to
@@ -32,12 +32,11 @@ std::vector<double> measure_clones(const Device& dev,
                                    const sig::Waveform& stimulus,
                                    std::size_t count, Program program,
                                    Measure measure) {
-  constexpr std::size_t kGroup = 4;
-  const std::size_t n_groups = (count + kGroup - 1) / kGroup;
+  const std::size_t n_groups = (count + kLaneGroup - 1) / kLaneGroup;
   const auto groups =
       util::parallel_map(n_groups, [&](std::size_t g) {
-        const std::size_t lo = g * kGroup;
-        const std::size_t hi = std::min(lo + kGroup, count);
+        const std::size_t lo = g * kLaneGroup;
+        const std::size_t hi = std::min(lo + kLaneGroup, count);
         std::vector<Device> clones;
         clones.reserve(hi - lo);
         for (std::size_t i = lo; i < hi; ++i) {

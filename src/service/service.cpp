@@ -257,8 +257,8 @@ void CalService::flush() {
                            it.temp_point, key_hit[it.key] != 0);
   });
 
-  // Phase 3 — kMeasure verification: per shard, groups of four clones
-  // (one AVX2 lane group) through the lane-batched executor. Each clone
+  // Phase 3 — kMeasure verification: per shard, groups of
+  // core::kLaneGroup clones through the lane-batched executor. Each clone
   // is bit-identical to its solo run by the batch contract, so group
   // composition — and with it the shard count — never shows in the
   // measured bytes.
@@ -268,7 +268,6 @@ void CalService::flush() {
       measure_idx.push_back(i);
   std::size_t n_groups = 0;
   if (!measure_idx.empty()) {
-    constexpr std::size_t kGroup = 4;
     std::vector<std::vector<std::size_t>> groups;
     // measure_idx is ordered shard-major and id-sorted within a shard
     // (items was built that way); group within each shard only.
@@ -279,11 +278,11 @@ void CalService::flush() {
       while (end < measure_idx.size() &&
              items[measure_idx[end]].shard == shard)
         ++end;
-      for (std::size_t g = begin; g < end; g += kGroup) {
+      for (std::size_t g = begin; g < end; g += core::kLaneGroup) {
         groups.emplace_back(measure_idx.begin() + static_cast<std::ptrdiff_t>(g),
                             measure_idx.begin() +
                                 static_cast<std::ptrdiff_t>(
-                                    std::min(g + kGroup, end)));
+                                    std::min(g + core::kLaneGroup, end)));
       }
       begin = end;
     }

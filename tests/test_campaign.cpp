@@ -1,17 +1,19 @@
 // Campaign orchestration: sharding, per-unit substreams, checkpoints,
 // merges. The headline contract under test is determinism — the merged
 // result is bit-identical for ANY shard count, ANY execution mode
-// (serial / thread / fork) and ANY resume point — plus the guard rails
-// around it: checkpoints from a different spec or topology are rejected,
-// corrupt shard reports throw, and the RecordAccumulator restores unit
-// order across merges so floating-point reductions stay associative by
-// construction.
+// (serial / thread / exec worker report files) and ANY resume point —
+// plus the guard rails around it: checkpoints from a different spec or
+// topology are rejected, corrupt shard reports throw, malformed campaign
+// env knobs throw, and the RecordAccumulator restores unit order across
+// merges so floating-point reductions stay associative by construction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -100,7 +102,9 @@ std::uint64_t run_hash(std::size_t shards, gcp::Mode mode) {
 // ---------------------------------------------------------------------------
 
 TEST(CampaignPlan, ShardsAreContiguousBalancedAndCovering) {
-  for (std::uint64_t n : {0ull, 1ull, 3ull, 10ull, 1000ull}) {
+  // The last two counts make n_units * s overflow 64 bits.
+  for (std::uint64_t n : {0ull, 1ull, 3ull, 10ull, 1000ull, 1ull << 62,
+                          (1ull << 63) - 1}) {
     for (std::size_t shards : {std::size_t{1}, std::size_t{3},
                                std::size_t{4}, std::size_t{8}}) {
       const auto ranges = gcp::plan_shards(n, shards);
@@ -110,7 +114,9 @@ TEST(CampaignPlan, ShardsAreContiguousBalancedAndCovering) {
       std::uint64_t lo = n, hi = 0;
       for (std::size_t s = 0; s < shards; ++s) {
         ASSERT_LE(ranges[s].begin, ranges[s].end);
-        if (s) EXPECT_EQ(ranges[s].begin, ranges[s - 1].end);
+        if (s) {
+          EXPECT_EQ(ranges[s].begin, ranges[s - 1].end);
+        }
         const std::uint64_t len = ranges[s].end - ranges[s].begin;
         lo = std::min(lo, len);
         hi = std::max(hi, len);
@@ -137,11 +143,72 @@ TEST(CampaignPlan, FingerprintSeparatesSpecAndTopology) {
   EXPECT_NE(gcp::spec_fingerprint(a, 8), fp);  // topology
 }
 
+namespace {
+
+// Sets (or, with nullptr, unsets) one environment variable for a scope
+// and restores its previous state on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    if (value)
+      ::setenv(name, value, 1);
+    else
+      ::unsetenv(name);
+  }
+  ~ScopedEnv() {
+    if (old_)
+      ::setenv(name_, old_->c_str(), 1);
+    else
+      ::unsetenv(name_);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+}  // namespace
+
 TEST(CampaignConfig, ModeNamesRoundTrip) {
-  for (gcp::Mode m :
-       {gcp::Mode::kSerial, gcp::Mode::kThread, gcp::Mode::kFork})
+  for (gcp::Mode m : {gcp::Mode::kSerial, gcp::Mode::kThread})
     EXPECT_EQ(gcp::parse_mode(gcp::mode_name(m)), m);
-  EXPECT_THROW(gcp::parse_mode("sideways"), std::invalid_argument);
+  for (const char* bad : {"sideways", "fork"})
+    EXPECT_THROW(gcp::parse_mode(bad), std::invalid_argument) << bad;
+}
+
+TEST(CampaignConfig, ModeEnvDefaultsToThreadAndRejectsFork) {
+  {
+    const ScopedEnv env("GDELAY_CAMPAIGN_MODE", nullptr);
+    EXPECT_EQ(gcp::default_mode(), gcp::Mode::kThread);
+  }
+  {
+    const ScopedEnv env("GDELAY_CAMPAIGN_MODE", "fork");
+    EXPECT_THROW(gcp::default_mode(), std::invalid_argument);
+  }
+  {
+    const ScopedEnv env("GDELAY_CAMPAIGN_MODE", "serial");
+    EXPECT_EQ(gcp::default_mode(), gcp::Mode::kSerial);
+  }
+}
+
+TEST(CampaignConfig, ShardEnvIsParsedStrictly) {
+  {
+    const ScopedEnv env("GDELAY_CAMPAIGN_SHARDS", nullptr);
+    EXPECT_EQ(gcp::default_shards(), 4u);
+  }
+  for (const char* good : {"1", "3", "16", "0008"}) {
+    const ScopedEnv env("GDELAY_CAMPAIGN_SHARDS", good);
+    EXPECT_EQ(gcp::default_shards(), std::stoul(good)) << good;
+  }
+  for (const char* bad : {"", "abc", "0", "-3", "+4", " 4", "4 ", "4x",
+                          "1e12", "2.5", "99999999999999999999999"}) {
+    const ScopedEnv env("GDELAY_CAMPAIGN_SHARDS", bad);
+    EXPECT_THROW(gcp::default_shards(), std::invalid_argument)
+        << "'" << bad << "'";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -277,9 +344,6 @@ TEST(CampaignDeterminism, HashInvariantAcrossShardCountsAndModes) {
     EXPECT_EQ(run_hash(shards, gcp::Mode::kSerial), ref) << shards;
   for (std::size_t shards : {std::size_t{1}, std::size_t{4}})
     EXPECT_EQ(run_hash(shards, gcp::Mode::kThread), ref) << shards;
-  if (gcp::fork_available())
-    for (std::size_t shards : {std::size_t{1}, std::size_t{4}})
-      EXPECT_EQ(run_hash(shards, gcp::Mode::kFork), ref) << shards;
 }
 
 TEST(CampaignDeterminism, ResumeFromCheckpointMatchesUninterrupted) {

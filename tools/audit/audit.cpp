@@ -1886,9 +1886,6 @@ std::vector<Finding> scan_global(const SymbolIndex& idx, const Options& opt,
                    fn->local_futures.count(site.receiver) > 0;
         }
         if (!blocks) continue;
-        // Scoped allowance: the campaign orchestrator's post-EOF child
-        // reap is progress-safe by construction (see Options doc).
-        if (label_contains_any(fn->file, opt.blocking_allowed)) continue;
         if (!seen_sites.insert({fn->file, site.line, site.col}).second)
           continue;
         raw.push_back(
@@ -2117,8 +2114,7 @@ const std::vector<RuleInfo>& rule_catalog() {
        "all atomics; write-once idiom in backend/dispatch, service/config"},
       {"R11", "no blocking calls (sleep, cv/future wait, future get, "
               "waitpid) reachable from pool tasks or consume() bodies",
-       "cross-TU call graph from every pool root; campaign/ process reaps "
-       "scoped-allowed"},
+       "cross-TU call graph from every pool root"},
       {"R12", "every AnalogElement subclass, kernel-table entry, and "
               "RequestKind must appear in its contract suite",
        "src vs tests/ cross-reference; needs --tests"},

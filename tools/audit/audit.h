@@ -168,14 +168,6 @@ struct Options {
   /// R8 applies to labels containing one of these fragments — the
   /// concurrent surface grown by the service layer and the pool itself.
   std::vector<std::string> lock_scope = {"service/", "util/thread_pool"};
-  /// Labels containing one of these may carry blocking calls reachable
-  /// from pool tasks (R11). The campaign orchestrator's fork-mode pipe
-  /// drain ends in a waitpid() per child; that wait cannot park a worker
-  /// indefinitely (the read loop only reaches it after pipe EOF, i.e.
-  /// after the child has closed its end and is exiting), which is the
-  /// progress argument this scoped entry records. Everything outside
-  /// campaign/ still gets the finding.
-  std::vector<std::string> blocking_allowed = {"campaign/"};
   /// R10 write-once idiom check applies to these labels (the same two
   /// owners as the R4 allowlist): their namespace-scope atomics claim to
   /// be write-once caches, so the stores must sit behind a

@@ -26,14 +26,20 @@ endfunction()
 
 run_campaign(H_SERIAL "serial x1" --mode serial --shards 1)
 run_campaign(H_THREAD "thread x4" --mode thread --shards 4)
-run_campaign(H_FORK "fork x2" --mode fork --shards 2)
 run_campaign(H_EXEC "exec x2" --mode exec --shards 2 --work ${WORK}/exec)
-foreach(h ${H_THREAD} ${H_FORK} ${H_EXEC})
+foreach(h ${H_THREAD} ${H_EXEC})
   if(NOT h STREQUAL H_SERIAL)
     message(FATAL_ERROR "merged-state hash drifted across modes:"
                         " ${H_SERIAL} vs ${h}")
   endif()
 endforeach()
+
+# fork is not a mode: the tool must fail with parse_mode's error.
+execute_process(COMMAND ${TOOL} ${COMMON} --mode fork --shards 2
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(rc EQUAL 0 OR NOT err MATCHES "unknown mode 'fork' \\(serial\\|thread\\)")
+  message(FATAL_ERROR "--mode fork was not rejected (rc ${rc}): ${err}")
+endif()
 
 # Stop every shard mid-range at a checkpoint, then resume to completion;
 # the resumed result must carry the same hash as the uninterrupted runs.

@@ -18,7 +18,7 @@
 //                        [--work DIR]
 //       Run the built-in Monte-Carlo matching campaign (perturbed
 //       edge-model trials) through the orchestrator. --mode accepts
-//       serial, thread, fork, or exec; exec re-invokes this binary as
+//       serial, thread, or exec; exec re-invokes this binary as
 //       one `campaign-worker` subprocess per shard and merges their
 //       framed result files. The merged-state hash printed at the end
 //       is identical for every mode, shard count and resume point.
@@ -85,7 +85,7 @@ struct Args {
   // campaign / campaign-worker
   std::uint64_t units = 20000;
   std::size_t shards = 0;       ///< 0 = GDELAY_CAMPAIGN_SHARDS default.
-  std::string mode;             ///< serial|thread|fork|exec; "" = default.
+  std::string mode;             ///< serial|thread|exec; "" = default.
   std::string ckpt_dir;
   std::uint64_t every = 0;
   std::uint64_t stop_after = 0;
@@ -103,7 +103,7 @@ struct Args {
                "  plan   : --cal FILE --delay PS\n"
                "  deskew : --lanes N --skew PS\n"
                "  campaign: --units N --shards S --mode"
-               " serial|thread|fork|exec\n"
+               " serial|thread|exec\n"
                "            --ckpt DIR --every K --stop-after N --work DIR\n"
                "  campaign-worker: --shard I --result FILE"
                " [+ campaign opts]\n"
