@@ -206,9 +206,11 @@ BENCHMARK(VariableDelayChannel_block);
 
 // ---------------------------------------------------------------------------
 // Raw backend-kernel rows: the hot loops in isolation, one row per
-// (kernel, backend). Registered at runtime because the AVX2 rows only
-// exist when the backend is usable on this machine. The names are
-// "Kernel_<op>/<backend>" so the json diff tooling pairs them up.
+// (kernel, backend). The lane kernels run at w = 1, the solo form every
+// element's process_block() issues. Registered at runtime because the
+// AVX2 rows only exist when the backend is usable on this machine. The
+// names are "Kernel_<op>/<backend>" so the json diff tooling pairs them
+// up.
 
 bool avx2_usable() {
   return gb::avx2_kernels() != nullptr && gb::cpu_supports_avx2();
@@ -236,22 +238,20 @@ void register_kernel_rows(const char* backend) {
         kernel_row(s, backend,
                    [](const gb::Kernels& k, const double* in, double* out,
                       double*, std::size_t n) {
-                     k.tanh_stage(in, nullptr, out, n, 2.0, 0.2, 1.0);
+                     const double gain = 2.0, ref = 0.2, post = 1.0;
+                     k.tanh_stage_batch(in, nullptr, out, n, 1, &gain, &ref,
+                                        &post);
                    });
-      });
-  benchmark::RegisterBenchmark(
-      ("Kernel_exp" + suffix).c_str(), [backend](benchmark::State& s) {
-        kernel_row(s, backend,
-                   [](const gb::Kernels& k, const double* in, double* out,
-                      double*, std::size_t n) { k.exp_block(in, out, n); });
       });
   benchmark::RegisterBenchmark(
       ("Kernel_onepole" + suffix).c_str(), [backend](benchmark::State& s) {
         gb::OnePoleState st{};
+        gb::OnePoleState* stp = &st;
+        const double alpha = 0.17;
         kernel_row(s, backend,
-                   [&st](const gb::Kernels& k, const double* in, double* out,
-                         double*, std::size_t n) {
-                     k.one_pole(in, out, n, 0.17, st);
+                   [&](const gb::Kernels& k, const double* in, double* out,
+                       double*, std::size_t n) {
+                     k.one_pole_batch(in, out, n, 1, &alpha, &stp);
                    });
       });
   benchmark::RegisterBenchmark(
@@ -262,10 +262,40 @@ void register_kernel_rows(const char* backend) {
         c.leak = 0.00083;
         c.has_lin = true;
         c.has_leak = true;
+        const gb::SlewCoeffs* cp = &c;
         gb::SlewState st;
+        gb::SlewState* stp = &st;
         kernel_row(s, backend,
                    [&](const gb::Kernels& k, const double* in, double* out,
-                       double*, std::size_t n) { k.slew(in, out, n, c, st); });
+                       double*, std::size_t n) {
+                     k.slew_batch(in, out, n, 1, &cp, &stp);
+                   });
+      });
+  benchmark::RegisterBenchmark(
+      ("Kernel_vgatail" + suffix).c_str(), [backend](benchmark::State& s) {
+        // The droop/slew tail of one VariableGainBuffer stage: the slew
+        // coefficients of Kernel_slew plus a slow droop IIR.
+        gb::VgaTailCoeffs c;
+        c.amp = 0.45;
+        c.amp_frac = 0.045;
+        c.max_step = 0.00125;
+        c.inv_max_step = 1.0 / c.max_step;
+        c.alpha = 0.0005;
+        c.slew.max_step = c.max_step;
+        c.slew.lin = 0.0124;
+        c.slew.leak = 0.00083;
+        c.slew.has_lin = true;
+        c.slew.has_leak = true;
+        const gb::VgaTailCoeffs* cp = &c;
+        gb::SlewState sl;
+        gb::VgaTailState d;
+        gb::SlewState* slp = &sl;
+        gb::VgaTailState* dp = &d;
+        kernel_row(s, backend,
+                   [&](const gb::Kernels& k, const double* in, double* out,
+                       double*, std::size_t n) {
+                     k.vga_tail_batch(in, out, n, 1, &cp, &slp, &dp);
+                   });
       });
   benchmark::RegisterBenchmark(
       ("Kernel_boxmuller" + suffix).c_str(), [backend](benchmark::State& s) {
@@ -478,8 +508,8 @@ int main(int argc, char** argv) {
   const double simd_chan = ratio_of("VariableDelayChannel_block");
   if (avx2_usable()) {
     std::printf("\navx2-vs-scalar speedup (block path):\n");
-    for (const char* k : {"Kernel_tanh", "Kernel_exp", "Kernel_onepole",
-                          "Kernel_slew", "Kernel_boxmuller"})
+    for (const char* k : {"Kernel_tanh", "Kernel_onepole", "Kernel_slew",
+                          "Kernel_vgatail", "Kernel_boxmuller"})
       std::printf("  %-20s: %.2fx\n", k, ratio_of(k));
     std::printf("  FineDelayLine_block : %.2fx\n",
                 ratio_of("FineDelayLine_block"));

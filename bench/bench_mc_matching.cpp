@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -16,6 +17,7 @@
 
 #include "bench/common.h"
 #include "campaign/campaign.h"
+#include "campaign/config.h"
 #include "core/batch.h"
 #include "core/board.h"
 #include "core/pipeline.h"
@@ -36,6 +38,15 @@ using R = core::Requirements;
 
 int main(int argc, char** argv) {
   const std::string outdir = bench::parse_outdir(&argc, argv);
+  // Resolve GDELAY_CAMPAIGN_MODE before the calibration work, so a bad
+  // value fails at once, the way gdelay_tool reports it.
+  campaign::Mode mode;
+  try {
+    mode = campaign::default_mode();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   bench::banner("Monte-Carlo: requirements across process variation",
                 "(ours; extends the paper's single-build report)");
 
@@ -216,6 +227,7 @@ int main(int argc, char** argv) {
     spec.seed = 20080;
     spec.n_units = kTrials;
     spec.n_shards = shards;
+    spec.mode = mode;
     const auto start = std::chrono::steady_clock::now();
     campaign::CampaignResult r = campaign::run_campaign(spec, factory,
                                                         unit_fn);

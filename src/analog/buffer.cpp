@@ -79,7 +79,7 @@ void VariableGainBuffer::process_lanes(VariableGainBuffer* const* b,
   // Unit-amplitude limiting output stage. Its argument is feedforward —
   // it depends only on the filtered input plus noise, not on the
   // droop/slew recursion — so the tanh pass is hoisted out of the
-  // recursion into the elementwise tanh_stage kernel (the AVX2 backend's
+  // recursion into the elementwise tanh_stage_batch kernel (the AVX2 backend's
   // biggest win in this element).
   util::LaneArray<double> gain(
       w, [&](std::size_t s) { return b[s]->cfg_.output_gain; });
@@ -93,8 +93,8 @@ void VariableGainBuffer::process_lanes(VariableGainBuffer* const* b,
   // activity (fraction of time spent slew-limited), the paper's Fig. 15
   // roll-off mechanism. The recursion feeds back sample-to-sample through
   // a clamp, so it stays serial in time on every backend (the AVX2 table
-  // runs it four lanes wide, and solo through the shared scalar
-  // definition).
+  // runs it four streams wide, and a single stream through the
+  // per-stream loop of backend.h).
   util::LaneArray<const backend::VgaTailCoeffs*> tail_c(
       w, [&](std::size_t s) {
         b[s]->derive_tail(dt_ps);
@@ -138,7 +138,7 @@ void LimitingBuffer::process_lanes(LimitingBuffer* const* b, std::size_t w,
   TanhLimiter::process_lanes(input.data(), w, in, out, n, dt_ps);
   SinglePoleFilter::process_lanes(lpf.data(), w, out, out, n, dt_ps);
   NoiseSource::process_lanes(src.data(), w, noise.data(), n, dt_ps);
-  // Elementwise limiting stage through the backend tanh_stage kernels —
+  // Elementwise limiting stage through the backend tanh_stage_batch kernels —
   // bit-exact against swing * det_tanh(gain * x / ref) on every backend.
   util::LaneArray<double> gain(
       w, [&](std::size_t s) { return b[s]->cfg_.output_gain; });

@@ -79,7 +79,7 @@ TanhLimiter::TanhLimiter(double gain, double vsat_v)
 void TanhLimiter::process_lanes(TanhLimiter* const* t, std::size_t w,
                                 const double* in, double* out, std::size_t n,
                                 double /*dt_ps*/) {
-  // Stateless; the backend tanh_stage kernels are elementwise and (on
+  // Stateless; the backend tanh_stage_batch kernels are elementwise and (on
   // every backend) bit-exact against vsat * det_tanh(gain * x / vsat).
   util::LaneArray<double> gain(w, [&](std::size_t s) { return t[s]->gain_; });
   util::LaneArray<double> vsat(w, [&](std::size_t s) { return t[s]->vsat_; });

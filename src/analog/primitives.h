@@ -24,7 +24,7 @@ namespace gdelay::analog {
 
 /// First-order low-pass, y' = 2*pi*f3dB (x - y).
 ///
-/// Runs through the active compute backend's one_pole kernel. Chunking
+/// Runs through the active compute backend's one_pole_batch kernel. Chunking
 /// never changes the bytes under any backend — including the AVX2 scan,
 /// whose group phase lives in the backend state POD and is carried
 /// across calls.
@@ -91,7 +91,7 @@ class SlewRateLimiter final : public AnalogElement {
 
  private:
   // VariableGainBuffer's fused droop/slew tail runs this limiter's
-  // recursion inside the vga_tail kernel, so it reads the coefficients
+  // recursion inside the vga_tail_batch kernel, so it reads the coefficients
   // and state directly.
   friend class VariableGainBuffer;
 

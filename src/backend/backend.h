@@ -1,12 +1,14 @@
 // Pluggable compute backend for the block-processing engine.
 //
 // Every hot loop of the analog signal path — the det_tanh limiter stages,
-// the one-pole/RC recursions, slew limiting, the Box-Muller noise
-// transform, gain scaling — is expressed as a *kernel*: a function over
-// contiguous sample arrays. A `Kernels` table bundles one implementation
-// of each kernel, and the elements' block and lane passes call through
-// the active table instead of open-coding the loops. Two tables ship
-// today:
+// the one-pole/RC recursions, slew limiting, the VGA droop tail, the
+// Box-Muller noise transform, gain scaling — is expressed as a *kernel*:
+// a function over contiguous sample arrays. A `Kernels` table bundles one
+// implementation of each kernel, and the elements' lane passes call
+// through the active table instead of open-coding the loops. There is
+// one form per operation: the recursions and the tanh stage are lane
+// kernels over `w` interleaved streams, and a solo block is the w = 1
+// call. Two tables ship today:
 //
 //   scalar  The reference oracle: plain loops over the inline reference
 //           steps below, one sample at a time, so any block partition —
@@ -16,10 +18,11 @@
 //           ran on.
 //   avx2    Explicit 4-lane AVX2(+FMA) intrinsics, compiled only when the
 //           toolchain supports -mavx2 and selected only when the CPU
-//           reports AVX2. Elementwise kernels (tanh/exp/sincos2pi/
-//           Box-Muller/scale) are BIT-EXACT to the scalar oracle: each
-//           lane performs the identical sequence of correctly-rounded
-//           IEEE-754 operations, so packing four samples changes nothing.
+//           reports AVX2. The elementwise kernels (tanh stage,
+//           Box-Muller, scale) and the slew and VGA-tail recursions are
+//           BIT-EXACT to the scalar oracle: each lane performs the
+//           identical sequence of correctly-rounded IEEE-754 operations,
+//           so packing four samples or four streams changes nothing.
 //           The one-pole recursion is NOT bit-exact: it runs a
 //           group-of-4 parallel scan whose reassociated rounding differs
 //           from the serial recursion by a few machine epsilons of the
@@ -116,11 +119,11 @@ struct VgaTailState {
 };
 
 // ---------------------------------------------------------------------------
-// Inline reference steps — the scalar oracle, one sample at a time. The
-// scalar kernel table loops over them and the AVX2 kernels use them for
-// their serial fallbacks, so each recursion's arithmetic has one definition
-// and the scalar table is block-partition invariant by construction
-// rather than by test.
+// Inline reference steps — the scalar oracle, one sample at a time — and
+// the per-stream loops over them further down. The scalar kernel table
+// is those loops, and the AVX2 kernels use them for their serial paths,
+// so each recursion's arithmetic has one definition and the scalar table
+// is block-partition invariant by construction rather than by test.
 
 inline double one_pole_step(double& y, double alpha, double x) {
   y += alpha * (x - y);
@@ -171,86 +174,109 @@ inline void box_muller_step(double u1, double u2, double& out_cos,
 }
 
 // ---------------------------------------------------------------------------
+// Per-stream loops: one stream's column of an interleaved buffer, stride
+// `w` (w = 1 is a contiguous solo block), state carried in and out. Each
+// is the single definition of its loop: the scalar table's lane kernels
+// run it per stream, and the AVX2 table runs it for the streams (and
+// tails) that do not fill a vector.
+
+/// out[i*w] = post * det_tanh(gain * v / ref), v = x[i*w] (+ add[i*w]
+/// if add != nullptr) — the shape of every limiter stage in the library.
+inline void tanh_stage_lane(const double* x, const double* add, double* out,
+                            std::size_t n, std::size_t w, double gain,
+                            double ref, double post) {
+  // Split on `add` outside the loop; the expression shape matches every
+  // call site: TanhLimiter's vsat*det_tanh(gain*v/vsat), the buffers'
+  // post*det_tanh(output_gain*(x+noise)/output_ref).
+  if (add != nullptr) {
+    for (std::size_t i = 0; i < n; ++i)
+      out[i * w] =
+          post * util::det_tanh(gain * (x[i * w] + add[i * w]) / ref);
+  } else {
+    for (std::size_t i = 0; i < n; ++i)
+      out[i * w] = post * util::det_tanh(gain * x[i * w] / ref);
+  }
+}
+
+/// The serial one-pole recursion, enregistered. Only `st.y` is live; the
+/// AVX2 scan context in `st` stays untouched (the AVX2 kernel re-anchors
+/// it itself on alpha change).
+inline void one_pole_lane(const double* x, double* out, std::size_t n,
+                          std::size_t w, double alpha, OnePoleState& st) {
+  double y = st.y;
+  for (std::size_t i = 0; i < n; ++i)
+    out[i * w] = one_pole_step(y, alpha, x[i * w]);
+  st.y = y;
+}
+
+inline void slew_lane(const double* x, double* out, std::size_t n,
+                      std::size_t w, const SlewCoeffs& c, SlewState& st) {
+  SlewState s = st;
+  for (std::size_t i = 0; i < n; ++i) out[i * w] = slew_step(c, s, x[i * w]);
+  st = s;
+}
+
+inline void vga_tail_lane(const double* lim, double* out, std::size_t n,
+                          std::size_t w, const VgaTailCoeffs& c,
+                          SlewState& slew_st, VgaTailState& d) {
+  SlewState s = slew_st;
+  VgaTailState dd = d;
+  for (std::size_t i = 0; i < n; ++i)
+    out[i * w] = vga_tail_step(c, s, dd, lim[i * w]);
+  slew_st = s;
+  d = dd;
+}
+
+// ---------------------------------------------------------------------------
 // The pluggable kernel table. All kernels allow in == out (in-place);
 // other overlap is not allowed. `n` may be zero.
+//
+// The *_batch kernels take `w` independent streams interleaved
+// time-major, buf[i*w + s] = sample i of stream s, with per-stream
+// parameters/state as length-w arrays. Contract (enforced by
+// test_batch_equivalence): stream s's output is bit-identical to the
+// SAME kernel at w = 1 over its de-interleaved samples with the same
+// state — for any width w, any stream-to-lane assignment, and any
+// partition of the sample stream into calls. Every element's solo
+// process_block() is its lane pass at w = 1, and each backend keeps its
+// time-vectorized form (the AVX2 tanh and one-pole scan) for that case;
+// at w > 1 the serial-by-contract recursions (slew, droop tail) stay
+// serial in time but run 4 streams wide per AVX2 iteration.
 
 struct Kernels {
   const char* name;  ///< "scalar" or "avx2" — the GDELAY_BACKEND token.
   const char* isa;   ///< instruction-set level, e.g. "generic", "avx2+fma"
   int lanes;         ///< doubles per vector lane group (1 for scalar)
-  bool bit_exact;    ///< every kernel byte-identical to the scalar oracle
 
-  /// out[i] = g * x[i]
+  /// out[i] = g * x[i]. Elementwise with no per-stream parameter, so a
+  /// lane pass calls it over n*w samples.
   void (*scale)(const double* x, double* out, std::size_t n, double g);
-
-  /// v = x[i] (+ add[i] if add != nullptr);
-  /// out[i] = post * det_tanh(gain * v / ref)
-  /// — the shape of every limiter stage in the library.
-  void (*tanh_stage)(const double* x, const double* add, double* out,
-                     std::size_t n, double gain, double ref, double post);
-
-  /// out[i] = det_exp(x[i])
-  void (*exp_block)(const double* x, double* out, std::size_t n);
-
-  /// det_sincos2pi over u[i] in [0, 1).
-  void (*sincos2pi_block)(const double* u, double* out_sin, double* out_cos,
-                          std::size_t n);
 
   /// Box-Muller transform over pair arrays (see box_muller_step).
   void (*box_muller)(const double* u1, const double* u2, double* out_cos,
                      double* out_sin, std::size_t n);
 
-  /// One-pole recursion out[i] = st.y' = st.y + alpha*(x[i] - st.y).
-  void (*one_pole)(const double* x, double* out, std::size_t n, double alpha,
-                   OnePoleState& st);
-
-  /// Slew-limiter recursion (see slew_step).
-  void (*slew)(const double* x, double* out, std::size_t n,
-               const SlewCoeffs& c, SlewState& st);
-
-  /// VariableGainBuffer droop/slew tail over a block (see vga_tail_step).
-  void (*vga_tail)(const double* lim, double* out, std::size_t n,
-                   const VgaTailCoeffs& c, SlewState& slew, VgaTailState& d);
-
-  // -------------------------------------------------------------------------
-  // Lane-batched kernels: `w` independent streams interleaved time-major,
-  // buf[i*w + s] = sample i of stream s. Per-stream parameters/state come
-  // as length-w arrays. Contract (enforced by test_batch_equivalence):
-  // stream s's output is bit-identical to running the solo kernel of the
-  // SAME table over its de-interleaved samples with the same state —
-  // for any width w, any stream-to-lane assignment, and any partition of
-  // the sample stream into batch calls. This is what finally vectorizes
-  // the serial-by-contract recursions (slew, droop tail): they stay
-  // serial in time but run 4 streams wide per AVX2 iteration.
-  // Every element's solo process_block() is its lane pass at w == 1, so
-  // each *_batch kernel forwards w == 1 to the same table's solo kernel:
-  // the contract makes the bytes equal, and the solo path keeps its
-  // time-vectorized form (the AVX2 tanh and one-pole scan).
-
-  /// Batched tanh_stage: per-stream gain/ref/post; add is an interleaved
-  /// buffer of the same shape or nullptr.
+  /// tanh_stage_lane per stream: per-stream gain/ref/post; add is an
+  /// interleaved buffer of the same shape or nullptr.
   void (*tanh_stage_batch)(const double* x, const double* add, double* out,
                            std::size_t n, std::size_t w, const double* gain,
                            const double* ref, const double* post);
 
-  /// Batched one-pole recursion: per-stream alpha and state pointers.
+  /// One-pole recursion out = st.y' = st.y + alpha*(x - st.y) per stream:
+  /// per-stream alpha and state pointers.
   void (*one_pole_batch)(const double* x, double* out, std::size_t n,
                          std::size_t w, const double* alpha,
                          OnePoleState* const* st);
 
-  /// Batched slew-limiter recursion.
+  /// Slew-limiter recursion per stream (see slew_step).
   void (*slew_batch)(const double* x, double* out, std::size_t n,
                      std::size_t w, const SlewCoeffs* const* c,
                      SlewState* const* st);
 
-  /// Batched VariableGainBuffer droop/slew tail.
+  /// VariableGainBuffer droop/slew tail per stream (see vga_tail_step).
   void (*vga_tail_batch)(const double* lim, double* out, std::size_t n,
                          std::size_t w, const VgaTailCoeffs* const* c,
                          SlewState* const* slew_st, VgaTailState* const* d);
-
-  // exp_block (and scale) are elementwise with no per-stream parameters,
-  // so a batched call is just the flat kernel over n*w samples — no
-  // dedicated table entry is needed.
 };
 
 // ---------------------------------------------------------------------------

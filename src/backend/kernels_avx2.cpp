@@ -5,59 +5,56 @@
 // and gdelay-audit rule R7 keeps it that way: intrinsics anywhere
 // outside src/backend/ are a finding.
 //
-// Bit-exactness strategy, kernel by kernel:
+// Every lane kernel takes `w` interleaved streams (buf[i*w + s]); w = 1
+// is a solo block. Bit-exactness strategy, kernel by kernel:
 //
-//   scale / tanh_stage / exp_block / sincos2pi_block / box_muller
+//   scale / box_muller / tanh_stage_batch
 //     Elementwise. Each vector lane performs the IDENTICAL sequence of
 //     correctly-rounded IEEE-754 operations as the scalar det_* code:
 //     separate _mm256_mul_pd/_mm256_add_pd for every `p*t + c` step
 //     (the scalar build uses -ffp-contract=off, so NO fmadd here),
 //     _mm256_div_pd/_mm256_sqrt_pd (correctly rounded by the standard),
 //     and AVX2 epi64 integer ops for the bit manipulation. Packing four
-//     samples therefore changes nothing: these kernels are bit-exact
-//     against the scalar oracle, enforced per-element by
-//     tests/test_backend_equivalence.cpp.
+//     samples (w = 1) or four streams (w > 1) therefore changes nothing:
+//     these kernels are bit-exact against the scalar oracle, enforced
+//     per-element by tests/test_backend_equivalence.cpp.
 //
-//   one_pole
+//   one_pole_batch
 //     A linear recurrence y_i = beta*y_{i-1} + alpha*x_i cannot run
-//     elementwise; this kernel uses a group-of-4 parallel scan
-//     (shift-and-fma prefix within the group, beta-powers to propagate
-//     the group-entry state) that REASSOCIATES the arithmetic — it is
-//     covered by the documented determinism contract instead of bit
-//     equality: bounded ULP drift vs. scalar, but bit-STABLE within the
-//     backend across any partition of the sample stream into
+//     elementwise; at w = 1 this kernel runs a group-of-4 parallel scan
+//     in time (shift-and-fma prefix within the group, beta-powers to
+//     propagate the group-entry state) that REASSOCIATES the arithmetic
+//     — it is covered by the documented determinism contract instead of
+//     bit equality: bounded ULP drift vs. scalar, but bit-STABLE within
+//     the backend across any partition of the sample stream into
 //     process_block() calls. Partition invariance is engineered, not
 //     lucky: the group phase is carried in OnePoleState (anchored to
 //     absolute sample position since reset/alpha-change), and partial
 //     groups at call boundaries are emitted through std::fma scalar
 //     emulation of the exact vector lane arithmetic — including the
 //     fma-with-zero operand shape of the shifted lanes, so even signed
-//     zeros match the packed path.
-//
-//   slew / vga_tail
-//     Serial nonlinear recursions (clamp + droop feedback) with no
-//     profitable 4-lane formulation; the table points at the scalar
-//     reference definitions (compiled without -mavx2), so these are
-//     trivially bit-identical across backends.
-//
-//   *_batch (lane-batched, w interleaved streams, buf[i*w + s])
-//     The move that breaks the Amdahl floor of the serial recursions:
-//     keep them serial IN TIME but run four independent STREAMS per
-//     vector iteration. slew_batch/vga_tail_batch vectorize the exact
-//     scalar op sequence across streams — every lane performs the same
-//     correctly-rounded sub/mul/min/max/add chain as slew_step /
-//     vga_tail_step (min/max operand order chosen so NaN and signed-zero
-//     behavior matches std::clamp / std::min), so each stream is
-//     bit-identical to its solo run. one_pole_batch reuses the solo
-//     scan's per-group arithmetic with stream-lanes instead of
-//     time-lanes: per time step j of a 4-step group the lane value is
+//     zeros match the packed path. At w > 1 the same per-group
+//     arithmetic runs with stream-lanes instead of time-lanes: per time
+//     step j of a 4-step group the lane value is
 //     fma(beta^?, y0, fma(b2, t1_?, t1_j)) — exactly scan_lane() — so
-//     each stream matches its solo AVX2 run bit for bit at any batch
-//     call partition. Streams whose flags/phases diverge within a
-//     4-group (and the w%4 remainder) fall back to per-stream scalar
-//     emulation of the same arithmetic, keeping the contract for ANY
-//     width and lane assignment.
-#include "backend/kernels_ref.h"
+//     each stream matches its w = 1 run bit for bit at any partition.
+//
+//   slew_batch / vga_tail_batch
+//     Serial nonlinear recursions (clamp + droop feedback): they stay
+//     serial IN TIME but run four independent STREAMS per vector
+//     iteration. Every lane performs the same correctly-rounded
+//     sub/mul/min/max/add chain as slew_step / vga_tail_step (min/max
+//     operand order chosen so NaN and signed-zero behavior matches
+//     std::clamp / std::min), so each stream is bit-identical to the
+//     scalar oracle.
+//
+// Streams whose flags/phases diverge within a 4-group, the w % 4
+// remainder, and therefore every w = 1 slew and VGA-tail call, run the
+// per-stream loops of backend.h (the one-pole remainder runs scan_lane),
+// keeping the contract for ANY width and lane assignment. Those loops
+// compile here under the global -ffp-contract=off, so they perform the
+// scalar oracle's operations exactly.
+#include "backend/backend.h"
 
 #if defined(__AVX2__) && defined(__FMA__)
 
@@ -66,8 +63,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-
-#include "util/fastmath.h"
 
 namespace gdelay::backend {
 namespace {
@@ -120,44 +115,6 @@ inline __m256d v_det_tanh(__m256d x) {
                                     _mm256_sub_pd(scale, vset(1.0)));
   const __m256d pos = _mm256_div_pd(em1, _mm256_add_pd(em1, vset(2.0)));
   return _mm256_or_pd(pos, sign);
-}
-
-// det_exp, four lanes.
-inline __m256d v_det_exp(__m256d x) {
-  const __m256d sign_mask = vset(-0.0);
-  const __m256d sign = _mm256_and_pd(x, sign_mask);
-  const __m256d ax = _mm256_andnot_pd(sign_mask, x);
-  const __m256d axc = _mm256_min_pd(ax, vset(708.0));
-  const __m256d xc = _mm256_or_pd(axc, sign);
-
-  const __m256d kRound = vset(6755399441055744.0);
-  const __m256d z = _mm256_mul_pd(xc, vset(1.4426950408889634074));
-  const __m256d m = _mm256_add_pd(z, kRound);
-  const __m256d kd = _mm256_sub_pd(m, kRound);
-  // r = (xc - kd*ln2_hi) - kd*ln2_lo, each product and difference a
-  // separate correctly-rounded op (no fma), as in the scalar build.
-  const __m256d r = _mm256_sub_pd(
-      _mm256_sub_pd(xc, _mm256_mul_pd(kd, vset(6.93147180369123816490e-1))),
-      _mm256_mul_pd(kd, vset(1.90821492927058770002e-10)));
-
-  __m256d p = vset(2.5052108385441718775e-8);
-  p = _mm256_add_pd(_mm256_mul_pd(p, r), vset(2.7557319223985890653e-7));
-  p = _mm256_add_pd(_mm256_mul_pd(p, r), vset(2.7557319223985892511e-6));
-  p = _mm256_add_pd(_mm256_mul_pd(p, r), vset(2.4801587301587301566e-5));
-  p = _mm256_add_pd(_mm256_mul_pd(p, r), vset(1.9841269841269841253e-4));
-  p = _mm256_add_pd(_mm256_mul_pd(p, r), vset(1.3888888888888889419e-3));
-  p = _mm256_add_pd(_mm256_mul_pd(p, r), vset(8.3333333333333332177e-3));
-  p = _mm256_add_pd(_mm256_mul_pd(p, r), vset(4.1666666666666664354e-2));
-  p = _mm256_add_pd(_mm256_mul_pd(p, r), vset(1.6666666666666665741e-1));
-  p = _mm256_add_pd(_mm256_mul_pd(p, r), vset(5.0e-1));
-  p = _mm256_add_pd(_mm256_mul_pd(p, r), vset(1.0));
-  p = _mm256_add_pd(_mm256_mul_pd(p, r), vset(1.0));
-
-  const __m256i ki = _mm256_sub_epi64(_mm256_castpd_si256(m),
-                                      _mm256_castpd_si256(kRound));
-  const __m256d scale = _mm256_castsi256_pd(_mm256_slli_epi64(
-      _mm256_add_epi64(ki, _mm256_set1_epi64x(1023)), 52));
-  return _mm256_mul_pd(scale, p);
 }
 
 // det_log, four lanes. Same domain as the scalar kernel: normal
@@ -253,8 +210,8 @@ inline void v_det_sincos2pi(__m256d u, __m256d& out_sin, __m256d& out_cos) {
 }
 
 // ---------------------------------------------------------------------------
-// Elementwise kernels: vector body + scalar det_* tail. The tail calls
-// the same inline scalar kernels the oracle uses (still compiled with
+// Elementwise kernels: vector body + scalar tail. The tail calls the
+// same inline steps and loops the oracle uses (still compiled with
 // -ffp-contract=off here), so every element is bit-exact regardless of
 // where the 4-lane boundary falls.
 
@@ -266,8 +223,10 @@ void k_scale(const double* x, double* out, std::size_t n, double g) {
   for (; i < n; ++i) out[i] = g * x[i];
 }
 
-void k_tanh_stage(const double* x, const double* add, double* out,
-                  std::size_t n, double gain, double ref, double post) {
+// The solo tanh stage, vectorized in time: four consecutive samples per
+// iteration, the < 4 sample tail through the shared per-stream loop.
+void tanh_stage_solo(const double* x, const double* add, double* out,
+                     std::size_t n, double gain, double ref, double post) {
   const __m256d gv = vset(gain);
   const __m256d rv = vset(ref);
   const __m256d pv = vset(post);
@@ -279,35 +238,15 @@ void k_tanh_stage(const double* x, const double* add, double* out,
       const __m256d arg = _mm256_div_pd(_mm256_mul_pd(gv, v), rv);
       _mm256_storeu_pd(out + i, _mm256_mul_pd(pv, v_det_tanh(arg)));
     }
-    for (; i < n; ++i)
-      out[i] = post * util::det_tanh(gain * (x[i] + add[i]) / ref);
   } else {
     for (; i + 4 <= n; i += 4) {
       const __m256d v = _mm256_loadu_pd(x + i);
       const __m256d arg = _mm256_div_pd(_mm256_mul_pd(gv, v), rv);
       _mm256_storeu_pd(out + i, _mm256_mul_pd(pv, v_det_tanh(arg)));
     }
-    for (; i < n; ++i) out[i] = post * util::det_tanh(gain * x[i] / ref);
   }
-}
-
-void k_exp_block(const double* x, double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(out + i, v_det_exp(_mm256_loadu_pd(x + i)));
-  for (; i < n; ++i) out[i] = util::det_exp(x[i]);
-}
-
-void k_sincos2pi_block(const double* u, double* out_sin, double* out_cos,
-                       std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d s, c;
-    v_det_sincos2pi(_mm256_loadu_pd(u + i), s, c);
-    _mm256_storeu_pd(out_sin + i, s);
-    _mm256_storeu_pd(out_cos + i, c);
-  }
-  for (; i < n; ++i) util::det_sincos2pi(u[i], out_sin[i], out_cos[i]);
+  tanh_stage_lane(x + i, add != nullptr ? add + i : nullptr, out + i, n - i, 1,
+                  gain, ref, post);
 }
 
 void k_box_muller(const double* u1, const double* u2, double* out_cos,
@@ -365,8 +304,9 @@ inline double scan_lane(const OnePoleState& st, const ScanCoeffs& c,
   return std::fma(c.b4, st.y0, std::fma(c.b2, t1_1, t1_3));
 }
 
-void k_one_pole(const double* x, double* out, std::size_t n, double alpha,
-                OnePoleState& st) {
+// The solo one-pole scan: four consecutive samples per packed group.
+void one_pole_scan(const double* x, double* out, std::size_t n, double alpha,
+                   OnePoleState& st) {
   if (alpha != st.alpha) {
     // Coefficient change re-anchors the group at the current sample.
     // Deterministic across partitions: a dt change can only happen at a
@@ -427,19 +367,20 @@ void k_one_pole(const double* x, double* out, std::size_t n, double alpha,
 }
 
 // ---------------------------------------------------------------------------
-// Lane-batched kernels: `w` independent streams interleaved time-major.
-// Stream groups of 4 ride the vector lanes; the w%4 remainder (and any
-// group whose per-stream flags diverge) drops to per-stream scalar loops
-// over the identical arithmetic, so the batch contract — each stream
-// bit-identical to its solo run on THIS table — holds for every width
+// Lane kernels: `w` independent streams interleaved time-major. Stream
+// groups of 4 ride the vector lanes; the w%4 remainder (and any group
+// whose per-stream flags diverge) drops to per-stream scalar loops over
+// the identical arithmetic, so the batch contract — each stream
+// bit-identical to its w = 1 run on THIS table — holds for every width
 // and every stream-to-lane assignment. A single lane (w == 1: every
-// solo process_block()) forwards to this table's solo kernel, keeping
-// the solo path on the time-vectorized tanh and one-pole scan.
+// solo process_block()) of the tanh stage and the one-pole runs the
+// time-vectorized form above; a single slew or VGA-tail lane is the
+// remainder loop.
 
 void k_tanh_stage_batch(const double* x, const double* add, double* out,
                         std::size_t n, std::size_t w, const double* gain,
                         const double* ref, const double* post) {
-  if (w == 1) return k_tanh_stage(x, add, out, n, *gain, *ref, *post);
+  if (w == 1) return tanh_stage_solo(x, add, out, n, *gain, *ref, *post);
   std::size_t s0 = 0;
   for (; s0 + 4 <= w; s0 += 4) {
     const __m256d gv = _mm256_loadu_pd(gain + s0);
@@ -462,21 +403,13 @@ void k_tanh_stage_batch(const double* x, const double* add, double* out,
       }
     }
   }
-  for (; s0 < w; ++s0) {
-    const double g = gain[s0], r = ref[s0], p = post[s0];
-    if (add != nullptr) {
-      for (std::size_t i = 0; i < n; ++i)
-        out[i * w + s0] =
-            p * util::det_tanh(g * (x[i * w + s0] + add[i * w + s0]) / r);
-    } else {
-      for (std::size_t i = 0; i < n; ++i)
-        out[i * w + s0] = p * util::det_tanh(g * x[i * w + s0] / r);
-    }
-  }
+  for (; s0 < w; ++s0)
+    tanh_stage_lane(x + s0, add != nullptr ? add + s0 : nullptr, out + s0, n,
+                    w, gain[s0], ref[s0], post[s0]);
 }
 
 // One stream of the batched one-pole, advanced through scan_lane() on its
-// strided column — byte-identical to the solo k_one_pole at any call
+// strided column — byte-identical to the solo one_pole_scan at any call
 // partition (the solo resume/packed/tail paths all emit scan_lane bits).
 // Caller has already re-anchored the state on alpha change.
 inline void batch_one_pole_lane(const double* x, double* out, std::size_t n,
@@ -497,7 +430,7 @@ inline void batch_one_pole_lane(const double* x, double* out, std::size_t n,
 void k_one_pole_batch(const double* x, double* out, std::size_t n,
                       std::size_t w, const double* alpha,
                       OnePoleState* const* st) {
-  if (w == 1) return k_one_pole(x, out, n, *alpha, *st[0]);
+  if (w == 1) return one_pole_scan(x, out, n, *alpha, *st[0]);
   for (std::size_t s = 0; s < w; ++s) {
     OnePoleState& S = *st[s];
     if (alpha[s] != S.alpha) {
@@ -600,31 +533,8 @@ void k_one_pole_batch(const double* x, double* out, std::size_t n,
     batch_one_pole_lane(x + s0, out + s0, n, w, alpha[s0], *st[s0]);
 }
 
-// One stream of the batched slew/vga-tail on its strided column, via the
-// shared reference steps — bit-identical to ref::slew / ref::vga_tail
-// (which the solo AVX2 table points at).
-inline void batch_slew_lane(const double* x, double* out, std::size_t n,
-                            std::size_t w, const SlewCoeffs& c,
-                            SlewState& st) {
-  SlewState s = st;
-  for (std::size_t i = 0; i < n; ++i) out[i * w] = slew_step(c, s, x[i * w]);
-  st = s;
-}
-
-inline void batch_vga_tail_lane(const double* lim, double* out, std::size_t n,
-                                std::size_t w, const VgaTailCoeffs& c,
-                                SlewState& slew_st, VgaTailState& d) {
-  SlewState s = slew_st;
-  VgaTailState dd = d;
-  for (std::size_t i = 0; i < n; ++i)
-    out[i * w] = vga_tail_step(c, s, dd, lim[i * w]);
-  slew_st = s;
-  d = dd;
-}
-
 void k_slew_batch(const double* x, double* out, std::size_t n, std::size_t w,
                   const SlewCoeffs* const* c, SlewState* const* st) {
-  if (w == 1) return ref::slew(x, out, n, *c[0], *st[0]);
   std::size_t s0 = 0;
   for (; s0 + 4 <= w; s0 += 4) {
     const bool has_lin = c[s0]->has_lin;
@@ -636,8 +546,7 @@ void k_slew_batch(const double* x, double* out, std::size_t n, std::size_t w,
                 c[s0 + l]->has_leak == has_leak && st[s0 + l]->first == first;
     if (!uniform) {
       for (int l = 0; l < 4; ++l)
-        batch_slew_lane(x + s0 + l, out + s0 + l, n, w, *c[s0 + l],
-                        *st[s0 + l]);
+        slew_lane(x + s0 + l, out + s0 + l, n, w, *c[s0 + l], *st[s0 + l]);
       continue;
     }
     if (n == 0) continue;
@@ -681,13 +590,12 @@ void k_slew_batch(const double* x, double* out, std::size_t n, std::size_t w,
     for (int l = 0; l < 4; ++l) st[s0 + l]->y = ys[l];
   }
   for (; s0 < w; ++s0)
-    batch_slew_lane(x + s0, out + s0, n, w, *c[s0], *st[s0]);
+    slew_lane(x + s0, out + s0, n, w, *c[s0], *st[s0]);
 }
 
 void k_vga_tail_batch(const double* lim, double* out, std::size_t n,
                       std::size_t w, const VgaTailCoeffs* const* c,
                       SlewState* const* slew_st, VgaTailState* const* d) {
-  if (w == 1) return ref::vga_tail(lim, out, n, *c[0], *slew_st[0], *d[0]);
   std::size_t s0 = 0;
   for (; s0 + 4 <= w; s0 += 4) {
     const bool has_lin = c[s0]->slew.has_lin;
@@ -702,8 +610,8 @@ void k_vga_tail_batch(const double* lim, double* out, std::size_t n,
                 d[s0 + l]->first == d[s0]->first;
     if (!uniform) {
       for (int l = 0; l < 4; ++l)
-        batch_vga_tail_lane(lim + s0 + l, out + s0 + l, n, w, *c[s0 + l],
-                            *slew_st[s0 + l], *d[s0 + l]);
+        vga_tail_lane(lim + s0 + l, out + s0 + l, n, w, *c[s0 + l],
+                      *slew_st[s0 + l], *d[s0 + l]);
       continue;
     }
     if (n == 0) continue;
@@ -784,23 +692,15 @@ void k_vga_tail_batch(const double* lim, double* out, std::size_t n,
     }
   }
   for (; s0 < w; ++s0)
-    batch_vga_tail_lane(lim + s0, out + s0, n, w, *c[s0], *slew_st[s0],
-                        *d[s0]);
+    vga_tail_lane(lim + s0, out + s0, n, w, *c[s0], *slew_st[s0], *d[s0]);
 }
 
 const Kernels kAvx2 = {
     /*name=*/"avx2",
     /*isa=*/"avx2+fma",
     /*lanes=*/4,
-    /*bit_exact=*/false,  // one_pole runs the reassociated scan
     k_scale,
-    k_tanh_stage,
-    k_exp_block,
-    k_sincos2pi_block,
     k_box_muller,
-    k_one_pole,
-    ref::slew,      // serial recursion: shared scalar definition
-    ref::vga_tail,  // serial recursion: shared scalar definition
     k_tanh_stage_batch,
     k_one_pole_batch,
     k_slew_batch,

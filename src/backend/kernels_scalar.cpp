@@ -4,44 +4,21 @@
 // backend.h (or the det_* functions directly), one sample at a time in
 // the same order with the same associativity, so a block and its split
 // into smaller blocks (down to the one-sample calls behind step()) give
-// the same bytes. This file is compiled with the project's
+// the same bytes. The lane kernels walk their `w` interleaved streams
+// stream-major through the per-stream loops of backend.h, so each
+// stream's output equals the w = 1 call by construction, for any width
+// and any lane assignment. This file is compiled with the project's
 // default flags only (no -mavx2), and the global -ffp-contract=off keeps
 // the compiler from fusing any multiply-add, so the oracle's bit
 // patterns are the portable IEEE-754 ones regardless of the toolchain's
 // vectorizer mood.
-#include "backend/kernels_ref.h"
-
-#include "util/fastmath.h"
+#include "backend/backend.h"
 
 namespace gdelay::backend {
-namespace ref {
+namespace {
 
 void scale(const double* x, double* out, std::size_t n, double g) {
   for (std::size_t i = 0; i < n; ++i) out[i] = g * x[i];
-}
-
-void tanh_stage(const double* x, const double* add, double* out,
-                std::size_t n, double gain, double ref, double post) {
-  // Split on `add` outside the loop; the expression shape matches every
-  // call site: TanhLimiter's vsat*det_tanh(gain*v/vsat), the buffers'
-  // post*det_tanh(output_gain*(x+noise)/output_ref).
-  if (add != nullptr) {
-    for (std::size_t i = 0; i < n; ++i)
-      out[i] = post * util::det_tanh(gain * (x[i] + add[i]) / ref);
-  } else {
-    for (std::size_t i = 0; i < n; ++i)
-      out[i] = post * util::det_tanh(gain * x[i] / ref);
-  }
-}
-
-void exp_block(const double* x, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = util::det_exp(x[i]);
-}
-
-void sincos2pi_block(const double* u, double* out_sin, double* out_cos,
-                     std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i)
-    util::det_sincos2pi(u[i], out_sin[i], out_cos[i]);
 }
 
 void box_muller(const double* u1, const double* u2, double* out_cos,
@@ -50,123 +27,47 @@ void box_muller(const double* u1, const double* u2, double* out_cos,
     box_muller_step(u1[i], u2[i], out_cos[i], out_sin[i]);
 }
 
-void one_pole(const double* x, double* out, std::size_t n, double alpha,
-              OnePoleState& st) {
-  // The serial recursion, enregistered. Only `y` is live for the scalar
-  // backend; the AVX2 scan context in `st` stays untouched (it is
-  // re-anchored by the AVX2 kernel itself on alpha change).
-  double y = st.y;
-  for (std::size_t i = 0; i < n; ++i) {
-    y += alpha * (x[i] - y);
-    out[i] = y;
-  }
-  st.y = y;
-}
-
-void slew(const double* x, double* out, std::size_t n, const SlewCoeffs& c,
-          SlewState& st) {
-  SlewState s = st;
-  for (std::size_t i = 0; i < n; ++i) out[i] = slew_step(c, s, x[i]);
-  st = s;
-}
-
-void vga_tail(const double* lim, double* out, std::size_t n,
-              const VgaTailCoeffs& c, SlewState& slew_st, VgaTailState& d) {
-  SlewState s = slew_st;
-  VgaTailState dd = d;
-  for (std::size_t i = 0; i < n; ++i)
-    out[i] = vga_tail_step(c, s, dd, lim[i]);
-  slew_st = s;
-  d = dd;
-}
-
-// ---------------------------------------------------------------------------
-// Lane-batched kernels over `w` interleaved streams (buf[i*w + s]). Each
-// stream is walked stream-major with the solo reference arithmetic on its
-// strided column, so per-stream output is byte-identical to the solo
-// kernel by construction — for any width and any lane assignment. A
-// single lane (w == 1, every solo process_block()) runs the solo kernel.
-
 void tanh_stage_batch(const double* x, const double* add, double* out,
                       std::size_t n, std::size_t w, const double* gain,
                       const double* ref, const double* post) {
-  if (w == 1) return tanh_stage(x, add, out, n, *gain, *ref, *post);
-  if (add != nullptr) {
-    for (std::size_t s = 0; s < w; ++s) {
-      const double g = gain[s], r = ref[s], p = post[s];
-      for (std::size_t i = 0; i < n; ++i)
-        out[i * w + s] = p * util::det_tanh(g * (x[i * w + s] + add[i * w + s]) / r);
-    }
-  } else {
-    for (std::size_t s = 0; s < w; ++s) {
-      const double g = gain[s], r = ref[s], p = post[s];
-      for (std::size_t i = 0; i < n; ++i)
-        out[i * w + s] = p * util::det_tanh(g * x[i * w + s] / r);
-    }
-  }
+  // The literal stride at w == 1 (every solo process_block()) lets the
+  // contiguous elementwise loop vectorize.
+  if (w == 1) return tanh_stage_lane(x, add, out, n, 1, *gain, *ref, *post);
+  for (std::size_t s = 0; s < w; ++s)
+    tanh_stage_lane(x + s, add != nullptr ? add + s : nullptr, out + s, n, w,
+                    gain[s], ref[s], post[s]);
 }
 
 void one_pole_batch(const double* x, double* out, std::size_t n,
                     std::size_t w, const double* alpha,
                     OnePoleState* const* st) {
-  if (w == 1) return one_pole(x, out, n, *alpha, *st[0]);
-  for (std::size_t s = 0; s < w; ++s) {
-    double y = st[s]->y;
-    const double a = alpha[s];
-    for (std::size_t i = 0; i < n; ++i) {
-      y += a * (x[i * w + s] - y);
-      out[i * w + s] = y;
-    }
-    st[s]->y = y;
-  }
+  for (std::size_t s = 0; s < w; ++s)
+    one_pole_lane(x + s, out + s, n, w, alpha[s], *st[s]);
 }
 
 void slew_batch(const double* x, double* out, std::size_t n, std::size_t w,
                 const SlewCoeffs* const* c, SlewState* const* st) {
-  if (w == 1) return slew(x, out, n, *c[0], *st[0]);
-  for (std::size_t s = 0; s < w; ++s) {
-    SlewState loc = *st[s];
-    for (std::size_t i = 0; i < n; ++i)
-      out[i * w + s] = slew_step(*c[s], loc, x[i * w + s]);
-    *st[s] = loc;
-  }
+  for (std::size_t s = 0; s < w; ++s)
+    slew_lane(x + s, out + s, n, w, *c[s], *st[s]);
 }
 
 void vga_tail_batch(const double* lim, double* out, std::size_t n,
                     std::size_t w, const VgaTailCoeffs* const* c,
                     SlewState* const* slew_st, VgaTailState* const* d) {
-  if (w == 1) return vga_tail(lim, out, n, *c[0], *slew_st[0], *d[0]);
-  for (std::size_t s = 0; s < w; ++s) {
-    SlewState sl = *slew_st[s];
-    VgaTailState dd = *d[s];
-    for (std::size_t i = 0; i < n; ++i)
-      out[i * w + s] = vga_tail_step(*c[s], sl, dd, lim[i * w + s]);
-    *slew_st[s] = sl;
-    *d[s] = dd;
-  }
+  for (std::size_t s = 0; s < w; ++s)
+    vga_tail_lane(lim + s, out + s, n, w, *c[s], *slew_st[s], *d[s]);
 }
-
-}  // namespace ref
-
-namespace {
 
 const Kernels kScalar = {
     /*name=*/"scalar",
     /*isa=*/"generic",
     /*lanes=*/1,
-    /*bit_exact=*/true,
-    ref::scale,
-    ref::tanh_stage,
-    ref::exp_block,
-    ref::sincos2pi_block,
-    ref::box_muller,
-    ref::one_pole,
-    ref::slew,
-    ref::vga_tail,
-    ref::tanh_stage_batch,
-    ref::one_pole_batch,
-    ref::slew_batch,
-    ref::vga_tail_batch,
+    scale,
+    box_muller,
+    tanh_stage_batch,
+    one_pole_batch,
+    slew_batch,
+    vga_tail_batch,
 };
 
 }  // namespace

@@ -995,8 +995,9 @@ TEST(AuditR12, FlagsEveryUncoveredContract) {
       {"tests/test_batch_equivalence.cpp", "TEST(L, Smoke) {}"},
       {"tests/test_service_determinism.cpp", "TEST(S, Smoke) {}"}};
   auto fs = scan_files(r12::sources(), tests);
-  ASSERT_EQ(rules_of(fs),
-            (std::vector<std::string>{"R12", "R12", "R12", "R12", "R12"}))
+  // scale_batch is missing from both of its suites: two findings.
+  ASSERT_EQ(rules_of(fs), (std::vector<std::string>{"R12", "R12", "R12", "R12",
+                                                    "R12", "R12"}))
       << render(fs);
   std::string all = render(fs);
   EXPECT_NE(all.find("'Gain'"), std::string::npos);
@@ -1007,12 +1008,14 @@ TEST(AuditR12, FlagsEveryUncoveredContract) {
 }
 
 TEST(AuditR12, BatchKernelsResolveAgainstBatchSuite) {
-  // scale_batch covered only by the batch suite, scale only by the solo
-  // suite — the _batch suffix must route each entry to its own corpus.
+  // scale only in the backend suite, scale_batch in the backend suite
+  // (its w = 1 pin) and the batch suite (its any-width contract): the
+  // _batch suffix adds the batch corpus to the entry's requirements.
   std::vector<SourceFile> tests = {
       {"tests/test_block_kernels.cpp", "TEST(B, G) { Gain g; }"},
       {"tests/test_backend_equivalence.cpp",
-       "TEST(E, S) { k->scale(nullptr, nullptr, 0); }"},
+       "TEST(E, S) { k->scale(nullptr, nullptr, 0); "
+       "k->scale_batch(nullptr, nullptr, 0); }"},
       {"tests/test_batch_equivalence.cpp",
        "TEST(L, S) { k->scale_batch(nullptr, nullptr, 0); }"},
       {"tests/test_service_determinism.cpp",
@@ -1021,11 +1024,55 @@ TEST(AuditR12, BatchKernelsResolveAgainstBatchSuite) {
   EXPECT_TRUE(fs.empty()) << render(fs);
 }
 
+TEST(AuditR12, BatchEntryMissingFromEitherSuiteIsFlagged) {
+  // A lane entry pinned only by the batch suite has lost its w = 1
+  // oracle-vs-backend pin; one pinned only by the backend suite has lost
+  // its any-width contract. Each is one finding naming the missing suite.
+  const SourceFile block = {"tests/test_block_kernels.cpp",
+                            "TEST(B, G) { Gain g; }"};
+  const SourceFile service = {
+      "tests/test_service_determinism.cpp",
+      "TEST(S, K) { run(RequestKind::kPlan); run(RequestKind::kProgram); }"};
+  auto only_batch = scan_files(
+      r12::sources(),
+      {block,
+       {"tests/test_backend_equivalence.cpp",
+        "TEST(E, S) { k->scale(nullptr, nullptr, 0); }"},
+       {"tests/test_batch_equivalence.cpp",
+        "TEST(L, S) { k->scale_batch(nullptr, nullptr, 0); }"},
+       service});
+  ASSERT_EQ(rules_of(only_batch), std::vector<std::string>{"R12"})
+      << render(only_batch);
+  EXPECT_EQ(only_batch[0].file, "backend/tab.h");
+  EXPECT_NE(only_batch[0].message.find("'scale_batch' appears in no "
+                                       "equivalence suite "
+                                       "(test_backend_equivalence)"),
+            std::string::npos)
+      << only_batch[0].message;
+
+  auto only_backend = scan_files(
+      r12::sources(),
+      {block,
+       {"tests/test_backend_equivalence.cpp",
+        "TEST(E, S) { k->scale(nullptr, nullptr, 0); "
+        "k->scale_batch(nullptr, nullptr, 0); }"},
+       {"tests/test_batch_equivalence.cpp", "TEST(L, Smoke) {}"},
+       service});
+  ASSERT_EQ(rules_of(only_backend), std::vector<std::string>{"R12"})
+      << render(only_backend);
+  EXPECT_NE(only_backend[0].message.find("'scale_batch' appears in no "
+                                         "batch-equivalence suite "
+                                         "(test_batch_equivalence)"),
+            std::string::npos)
+      << only_backend[0].message;
+}
+
 TEST(AuditR12, MissingEnumeratorIsASingleFinding) {
   std::vector<SourceFile> tests = {
       {"tests/test_block_kernels.cpp", "TEST(B, G) { Gain g; }"},
       {"tests/test_backend_equivalence.cpp",
-       "TEST(E, S) { k->scale(nullptr, nullptr, 0); }"},
+       "TEST(E, S) { k->scale(nullptr, nullptr, 0); "
+       "k->scale_batch(nullptr, nullptr, 0); }"},
       {"tests/test_batch_equivalence.cpp",
        "TEST(L, S) { k->scale_batch(nullptr, nullptr, 0); }"},
       {"tests/test_service_determinism.cpp",
@@ -1050,7 +1097,8 @@ TEST(AuditR12, CoversSubclassesThatInheritStep) {
   std::vector<SourceFile> tests = {
       {"tests/test_block_kernels.cpp", "TEST(B, G) { Gain g; }"},
       {"tests/test_backend_equivalence.cpp",
-       "TEST(E, S) { k->scale(nullptr, nullptr, 0); }"},
+       "TEST(E, S) { k->scale(nullptr, nullptr, 0); "
+       "k->scale_batch(nullptr, nullptr, 0); }"},
       {"tests/test_batch_equivalence.cpp",
        "TEST(L, S) { k->scale_batch(nullptr, nullptr, 0); }"},
       {"tests/test_service_determinism.cpp",
@@ -1075,7 +1123,8 @@ TEST(AuditR12, InlineWaiverSilencesWithReason) {
   std::vector<SourceFile> tests = {
       {"tests/test_block_kernels.cpp", "TEST(B, G) { Gain g; }"},
       {"tests/test_backend_equivalence.cpp",
-       "TEST(E, S) { k->scale(nullptr, nullptr, 0); }"},
+       "TEST(E, S) { k->scale(nullptr, nullptr, 0); "
+       "k->scale_batch(nullptr, nullptr, 0); }"},
       {"tests/test_batch_equivalence.cpp",
        "TEST(L, S) { k->scale_batch(nullptr, nullptr, 0); }"},
       {"tests/test_service_determinism.cpp", "TEST(S, Smoke) {}"}};
@@ -1087,7 +1136,8 @@ TEST(AuditR12, BaselineSuppresses) {
   std::vector<SourceFile> tests = {
       {"tests/test_block_kernels.cpp", "TEST(B, G) { Gain g; }"},
       {"tests/test_backend_equivalence.cpp",
-       "TEST(E, S) { k->scale(nullptr, nullptr, 0); }"},
+       "TEST(E, S) { k->scale(nullptr, nullptr, 0); "
+       "k->scale_batch(nullptr, nullptr, 0); }"},
       {"tests/test_batch_equivalence.cpp",
        "TEST(L, S) { k->scale_batch(nullptr, nullptr, 0); }"},
       {"tests/test_service_determinism.cpp",

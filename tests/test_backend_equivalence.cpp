@@ -3,10 +3,14 @@
 //
 // Three layers of checks:
 //
-//   1. Kernel pins. The elementwise kernels (scale, tanh_stage, exp,
-//      sincos2pi, Box-Muller) must be BIT-EXACT against the scalar
-//      det_* oracle on every backend — 0 ULP, over domain sweeps that
-//      cover saturation boundaries, signed zero and vector tails.
+//   1. Kernel pins. The elementwise kernels (scale, Box-Muller, and the
+//      tanh stage at w = 1) must be BIT-EXACT against the scalar det_*
+//      oracle on every backend — 0 ULP, over domain sweeps that cover
+//      saturation boundaries, signed zero and vector tails. The
+//      recursions, called at w = 1 as every solo process_block() does,
+//      must match their step oracle at any call partition (slew, VGA
+//      tail) or stay partition-invariant inside the scan envelope
+//      (one-pole).
 //   2. The step-vs-block-vs-SIMD triangle. For every element: under a
 //      fixed backend, n step() calls, one block call, and any chunked
 //      partition of block calls (sizes 1, 7, 64, 1024, 4096) must agree
@@ -185,7 +189,6 @@ TEST(BackendDispatch, ScalarTableIsAlwaysAvailableAndSelectable) {
   const gb::Kernels& s = gb::scalar_kernels();
   EXPECT_STREQ(s.name, "scalar");
   EXPECT_EQ(s.lanes, 1);
-  EXPECT_TRUE(s.bit_exact);
   BackendSelect sel("scalar");
   EXPECT_STREQ(gb::active().name, "scalar");
   EXPECT_NE(gb::dispatch_reason(), nullptr);
@@ -215,7 +218,6 @@ TEST(BackendDispatch, Avx2SelectionMatchesProbes) {
   const gb::Kernels& k = gb::active();
   EXPECT_STREQ(k.name, "avx2");
   EXPECT_EQ(k.lanes, 4);
-  EXPECT_FALSE(k.bit_exact);  // the one-pole scan is contract-covered
 }
 
 // ---------------------------------------------------------------------------
@@ -223,6 +225,36 @@ TEST(BackendDispatch, Avx2SelectionMatchesProbes) {
 // ---------------------------------------------------------------------------
 
 namespace {
+
+// The solo form of each lane kernel: its w = 1 call, which is what every
+// element's process_block() issues.
+void tanh_solo(const gb::Kernels& k, const double* x, const double* add,
+               double* out, std::size_t n, double gain, double ref,
+               double post) {
+  k.tanh_stage_batch(x, add, out, n, 1, &gain, &ref, &post);
+}
+
+void one_pole_solo(const gb::Kernels& k, const double* x, double* out,
+                   std::size_t n, double alpha, gb::OnePoleState& st) {
+  gb::OnePoleState* sp = &st;
+  k.one_pole_batch(x, out, n, 1, &alpha, &sp);
+}
+
+void slew_solo(const gb::Kernels& k, const double* x, double* out,
+               std::size_t n, const gb::SlewCoeffs& c, gb::SlewState& st) {
+  const gb::SlewCoeffs* cp = &c;
+  gb::SlewState* sp = &st;
+  k.slew_batch(x, out, n, 1, &cp, &sp);
+}
+
+void vga_tail_solo(const gb::Kernels& k, const double* lim, double* out,
+                   std::size_t n, const gb::VgaTailCoeffs& c,
+                   gb::SlewState& sl, gb::VgaTailState& d) {
+  const gb::VgaTailCoeffs* cp = &c;
+  gb::SlewState* slp = &sl;
+  gb::VgaTailState* dp = &d;
+  k.vga_tail_batch(lim, out, n, 1, &cp, &slp, &dp);
+}
 
 // Domain sweep with saturation boundaries, signed zero, huge and tiny
 // magnitudes, at a length (1027) that exercises vector body + tail.
@@ -252,7 +284,7 @@ void pin_elementwise(const gb::Kernels& k) {
   for (std::size_t i = 0; i < n; ++i)
     ASSERT_EQ(bits(out[i]), bits(1.7 * x[i])) << k.name << " scale " << i;
 
-  k.tanh_stage(x.data(), nullptr, out.data(), n, 2.0, 0.4, 0.35);
+  tanh_solo(k, x.data(), nullptr, out.data(), n, 2.0, 0.4, 0.35);
   for (std::size_t i = 0; i < n; ++i)
     ASSERT_EQ(bits(out[i]), bits(0.35 * gu::det_tanh(2.0 * x[i] / 0.4)))
         << k.name << " tanh_stage " << i << " x=" << x[i];
@@ -260,31 +292,21 @@ void pin_elementwise(const gb::Kernels& k) {
   // The add-array variant (noise injection before the limiter).
   std::vector<double> add(n);
   for (std::size_t i = 0; i < n; ++i) add[i] = 0.01 * std::sin(0.3 * i);
-  k.tanh_stage(x.data(), add.data(), out.data(), n, 2.0, 0.4, 1.0);
+  tanh_solo(k, x.data(), add.data(), out.data(), n, 2.0, 0.4, 1.0);
   for (std::size_t i = 0; i < n; ++i)
     ASSERT_EQ(bits(out[i]),
               bits(1.0 * gu::det_tanh(2.0 * (x[i] + add[i]) / 0.4)))
         << k.name << " tanh_stage+add " << i;
 
-  k.exp_block(x.data(), out.data(), n);
-  for (std::size_t i = 0; i < n; ++i)
-    ASSERT_EQ(bits(out[i]), bits(gu::det_exp(x[i])))
-        << k.name << " exp " << i << " x=" << x[i];
-
-  // sincos2pi and Box-Muller take uniforms in [0, 1) / (0, 1].
+  // Box-Muller takes uniforms in (0, 1] / [0, 1). The u2 sweep covers
+  // every quadrant of det_sincos2pi, so its vector transcription stays
+  // pinned bit-exact through the transform.
   std::vector<double> u1(n), u2(n), os(n, -1.0), oc(n, -1.0);
   for (std::size_t i = 0; i < n; ++i) {
     u2[i] = static_cast<double>(i) / static_cast<double>(n);
     u1[i] = 1.0 - u2[i];
   }
   u1[5] = 0x1.0p-53;  // smallest uniform the RNG produces
-  k.sincos2pi_block(u2.data(), os.data(), oc.data(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double s, c;
-    gu::det_sincos2pi(u2[i], s, c);
-    ASSERT_EQ(bits(os[i]), bits(s)) << k.name << " sin " << i;
-    ASSERT_EQ(bits(oc[i]), bits(c)) << k.name << " cos " << i;
-  }
   k.box_muller(u1.data(), u2.data(), oc.data(), os.data(), n);
   for (std::size_t i = 0; i < n; ++i) {
     double c, s;
@@ -296,7 +318,7 @@ void pin_elementwise(const gb::Kernels& k) {
   // Odd lengths so every tail-length path of the vector kernels runs.
   for (std::size_t len : {std::size_t{1}, std::size_t{2}, std::size_t{3},
                           std::size_t{4}, std::size_t{5}, std::size_t{7}}) {
-    k.tanh_stage(x.data(), nullptr, out.data(), len, 3.0, 0.2, 0.4);
+    tanh_solo(k, x.data(), nullptr, out.data(), len, 3.0, 0.2, 0.4);
     for (std::size_t i = 0; i < len; ++i)
       ASSERT_EQ(bits(out[i]), bits(0.4 * gu::det_tanh(3.0 * x[i] / 0.2)))
           << k.name << " tanh_stage len=" << len << " " << i;
@@ -323,13 +345,13 @@ TEST(BackendKernels, OnePolePartitionInvariancePerBackend) {
   for (const gb::Kernels* k : tables) {
     gb::OnePoleState whole{};
     std::vector<double> want(x.size(), -1.0);
-    k->one_pole(x.data(), want.data(), x.size(), 0.17, whole);
+    one_pole_solo(*k, x.data(), want.data(), x.size(), 0.17, whole);
     for (std::size_t chunk : kChunks) {
       gb::OnePoleState st{};
       std::vector<double> got(x.size(), -1.0);
       for (std::size_t o = 0; o < x.size(); o += chunk)
-        k->one_pole(x.data() + o, got.data() + o,
-                    std::min(chunk, x.size() - o), 0.17, st);
+        one_pole_solo(*k, x.data() + o, got.data() + o,
+                      std::min(chunk, x.size() - o), 0.17, st);
       for (std::size_t i = 0; i < x.size(); ++i)
         ASSERT_EQ(bits(want[i]), bits(got[i]))
             << k->name << " chunk " << chunk << " sample " << i;
@@ -339,7 +361,7 @@ TEST(BackendKernels, OnePolePartitionInvariancePerBackend) {
 }
 
 TEST(BackendKernels, SlewMatchesStepOracleAtAnyPartition) {
-  // The solo slew kernel is serial-by-contract: every backend must match
+  // The slew kernel is serial-by-contract: at w = 1 every backend must match
   // the slew_step oracle bit for bit, for any chunking of the stream
   // (state carries across calls in SlewState).
   const auto x = stimulus(4099);
@@ -362,8 +384,8 @@ TEST(BackendKernels, SlewMatchesStepOracleAtAnyPartition) {
       gb::SlewState st{};
       std::vector<double> got(x.size(), -1.0);
       for (std::size_t o = 0; o < x.size(); o += chunk)
-        k->slew(x.data() + o, got.data() + o, std::min(chunk, x.size() - o),
-                c, st);
+        slew_solo(*k, x.data() + o, got.data() + o,
+                  std::min(chunk, x.size() - o), c, st);
       for (std::size_t i = 0; i < x.size(); ++i)
         ASSERT_EQ(bits(want[i]), bits(got[i]))
             << k->name << " slew chunk " << chunk << " sample " << i;
@@ -400,8 +422,8 @@ TEST(BackendKernels, VgaTailMatchesStepOracleAtAnyPartition) {
       gb::VgaTailState d{};
       std::vector<double> got(lim.size(), -1.0);
       for (std::size_t o = 0; o < lim.size(); o += chunk)
-        k->vga_tail(lim.data() + o, got.data() + o,
-                    std::min(chunk, lim.size() - o), c, sl, d);
+        vga_tail_solo(*k, lim.data() + o, got.data() + o,
+                      std::min(chunk, lim.size() - o), c, sl, d);
       for (std::size_t i = 0; i < lim.size(); ++i)
         ASSERT_EQ(bits(want[i]), bits(got[i]))
             << k->name << " vga_tail chunk " << chunk << " sample " << i;
@@ -421,8 +443,10 @@ TEST(BackendKernels, OnePoleCrossBackendAmplitudeEnvelope) {
   for (double alpha : {0.02, 0.17, 0.6, 0.95}) {
     gb::OnePoleState ss{}, sv{};
     std::vector<double> a(x.size()), b(x.size());
-    gb::scalar_kernels().one_pole(x.data(), a.data(), x.size(), alpha, ss);
-    gb::avx2_kernels()->one_pole(x.data(), b.data(), x.size(), alpha, sv);
+    one_pole_solo(gb::scalar_kernels(), x.data(), a.data(), x.size(), alpha,
+                  ss);
+    one_pole_solo(*gb::avx2_kernels(), x.data(), b.data(), x.size(), alpha,
+                  sv);
     double amp = 0.0, worst = 0.0;
     for (std::size_t i = 0; i < x.size(); ++i) {
       amp = std::max(amp, std::abs(a[i]));
@@ -441,10 +465,11 @@ TEST(BackendKernels, OnePoleAlphaChangeReanchorsDeterministically) {
   for (const gb::Kernels* k : tables) {
     gb::OnePoleState s1{}, s2{};
     std::vector<double> a(x.size()), b(x.size());
-    k->one_pole(x.data(), a.data(), 301, 0.17, s1);
-    k->one_pole(x.data() + 301, a.data() + 301, 300, 0.42, s1);
+    one_pole_solo(*k, x.data(), a.data(), 301, 0.17, s1);
+    one_pole_solo(*k, x.data() + 301, a.data() + 301, 300, 0.42, s1);
     for (std::size_t i = 0; i < x.size(); ++i)
-      k->one_pole(x.data() + i, b.data() + i, 1, i < 301 ? 0.17 : 0.42, s2);
+      one_pole_solo(*k, x.data() + i, b.data() + i, 1, i < 301 ? 0.17 : 0.42,
+                    s2);
     for (std::size_t i = 0; i < x.size(); ++i)
       ASSERT_EQ(bits(a[i]), bits(b[i])) << k->name << " sample " << i;
   }

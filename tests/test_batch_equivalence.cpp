@@ -4,11 +4,12 @@
 // any stream-to-lane assignment, and any partition of the sample stream
 // into batch calls. Three layers:
 //
-//   1. Kernel pins: each *_batch kernel against w solo runs of the same
-//      table, at widths spanning sub-group, exact-group and
-//      group-plus-tail (1, 3, 4, 9), with call partitions that split
-//      groups mid-phase, and with per-stream parameter divergence that
-//      forces the AVX2 per-stream fallbacks.
+//   1. Kernel pins: each *_batch kernel against w runs of the same
+//      table's kernel at w = 1 (the solo form), at widths spanning
+//      sub-group, exact-group, util::kMaxLanes and group-plus-tail
+//      (1, 3, 4, 8, 9), with call partitions that split groups
+//      mid-phase, and with per-stream parameter divergence that forces
+//      the AVX2 per-stream fallbacks.
 //   2. BatchRunner vs solo device runs: FineDelayLine and
 //      VariableDelayChannel clones with per-stream fork_noise / Vctrl /
 //      tap programming, compared waveform-bitwise; plus lane-assignment
@@ -64,7 +65,7 @@ struct BackendSelect {
   ~BackendSelect() { gb::select(prev.c_str()); }
 };
 
-const std::size_t kWidths[] = {1, 3, 4, 9};
+const std::size_t kWidths[] = {1, 3, 4, 8, 9};
 // Partitions of the batch calls: one whole call, a tiny odd chunk that
 // leaves every AVX2 group mid-phase at each seam, and a round mid-size.
 const std::size_t kSeams[] = {0, 7, 64};  // 0 = whole
@@ -88,6 +89,14 @@ std::vector<const gb::Kernels*> tables() {
 }
 
 // Runs `batch_call(lo, n)` over [0, total) in `seam`-sized slices.
+// The w = 1 call of a lane kernel — the solo form every process_block()
+// issues, and the reference each stream of a wider call must match.
+void one_pole_solo(const gb::Kernels& k, const double* x, double* out,
+                   std::size_t n, double alpha, gb::OnePoleState& st) {
+  gb::OnePoleState* sp = &st;
+  k.one_pole_batch(x, out, n, 1, &alpha, &sp);
+}
+
 template <typename F>
 void partitioned(std::size_t total, std::size_t seam, F batch_call) {
   const std::size_t step = seam == 0 ? total : seam;
@@ -113,7 +122,7 @@ TEST(BatchKernels, OnePoleBatchMatchesSoloAnyWidthAndPartition) {
         want[s].resize(kN);
         alpha[s] = 0.05 + 0.09 * static_cast<double>(s);
         gb::OnePoleState st{};
-        k->one_pole(in[s].data(), want[s].data(), kN, alpha[s], st);
+        one_pole_solo(*k, in[s].data(), want[s].data(), kN, alpha[s], st);
       }
       for (std::size_t seam : kSeams) {
         std::vector<double> buf(kN * w);
@@ -150,10 +159,11 @@ TEST(BatchKernels, OnePoleBatchDivergentAlphaGroupFallsBack) {
     for (std::size_t s = 0; s < w; ++s) {
       in[s] = stream_input(kN + s, s);
       std::vector<double> warm(4, 0.0);
-      k->one_pole(in[s].data(), warm.data(), s, alpha[s], solo_st[s]);
+      one_pole_solo(*k, in[s].data(), warm.data(), s, alpha[s], solo_st[s]);
       st[s] = solo_st[s];
       want[s].resize(kN);
-      k->one_pole(in[s].data() + s, want[s].data(), kN, alpha[s], solo_st[s]);
+      one_pole_solo(*k, in[s].data() + s, want[s].data(), kN, alpha[s],
+                    solo_st[s]);
     }
     std::vector<double> buf(kN * w);
     for (std::size_t s = 0; s < w; ++s)
@@ -185,7 +195,9 @@ TEST(BatchKernels, SlewBatchMatchesSoloIncludingFlagDivergence) {
         c[s].has_leak = s < 4 || (s % 3 == 0);
         c[s].leak = c[s].has_leak ? 0.01 : 0.0;
         gb::SlewState st{};
-        k->slew(in[s].data(), want[s].data(), kN, c[s], st);
+        gb::SlewState* stp = &st;
+        const gb::SlewCoeffs* cp = &c[s];
+        k->slew_batch(in[s].data(), want[s].data(), kN, 1, &cp, &stp);
       }
       for (std::size_t seam : kSeams) {
         std::vector<double> buf(kN * w);
@@ -233,7 +245,11 @@ TEST(BatchKernels, VgaTailBatchMatchesSoloAnyWidthAndPartition) {
         c[s].slew.leak = 0.003;
         gb::SlewState sst{};
         gb::VgaTailState tst{};
-        k->vga_tail(in[s].data(), want[s].data(), kN, c[s], sst, tst);
+        const gb::VgaTailCoeffs* cp = &c[s];
+        gb::SlewState* sstp = &sst;
+        gb::VgaTailState* tstp = &tst;
+        k->vga_tail_batch(in[s].data(), want[s].data(), kN, 1, &cp, &sstp,
+                          &tstp);
       }
       for (std::size_t seam : kSeams) {
         std::vector<double> buf(kN * w);
@@ -288,8 +304,9 @@ TEST(BatchKernels, TanhStageBatchMatchesSoloWithAndWithoutAdd) {
                             post.data());
         for (std::size_t s = 0; s < w; ++s) {
           std::vector<double> want(kN);
-          k->tanh_stage(in[s].data(), with_add ? add[s].data() : nullptr,
-                        want.data(), kN, gain[s], ref[s], post[s]);
+          k->tanh_stage_batch(in[s].data(),
+                              with_add ? add[s].data() : nullptr, want.data(),
+                              kN, 1, &gain[s], &ref[s], &post[s]);
           for (std::size_t i = 0; i < kN; ++i)
             ASSERT_EQ(bits(want[i]), bits(buf[i * w + s]))
                 << k->name << " w=" << w << " add=" << with_add << " s=" << s

@@ -1950,17 +1950,25 @@ std::vector<Finding> scan_global(const SymbolIndex& idx, const Options& opt,
     for (const auto& c : idx.classes) {
       if (c.name != opt.kernels_struct) continue;
       for (const auto& m : c.fnptr_members) {
-        const bool batch = ends_with(m, "_batch");
-        const auto& files = batch ? opt.batch_kernel_coverage_files
-                                  : opt.kernel_coverage_files;
-        if (!covered_in(files, m)) {
+        // Every entry needs its oracle-vs-backend pin; a lane entry
+        // (suffix _batch) is pinned at w = 1 there and additionally needs
+        // the batch suite's any-width contract.
+        if (!covered_in(opt.kernel_coverage_files, m)) {
           raw.push_back(
               {c.file, c.line, 0, "R12",
-               "kernel-table entry '" + m + "' appears in no " +
-                   (batch ? std::string("batch-") : std::string("")) +
-                   "equivalence suite (" + join_fragments(files) +
+               "kernel-table entry '" + m + "' appears in no equivalence "
+                   "suite (" + join_fragments(opt.kernel_coverage_files) +
                    "); every backend::Kernels field needs a pinned "
                    "oracle-vs-backend contract"});
+        }
+        if (ends_with(m, "_batch") &&
+            !covered_in(opt.batch_kernel_coverage_files, m)) {
+          raw.push_back(
+              {c.file, c.line, 0, "R12",
+               "kernel-table entry '" + m + "' appears in no "
+                   "batch-equivalence suite (" +
+                   join_fragments(opt.batch_kernel_coverage_files) +
+                   "); every lane kernel needs its any-width contract"});
         }
       }
     }

@@ -76,8 +76,9 @@
 //   R12 contract coverage: every class deriving (transitively) from
 //       AnalogElement must appear in a chunking/clone byte-identity
 //       test, whether or not it declares step(); every backend::Kernels
-//       table entry in the backend/batch equivalence suites, and every
-//       service RequestKind in the service determinism suite — an
+//       table entry in the backend equivalence suite (a _batch entry in
+//       the batch equivalence suite as well), and every service
+//       RequestKind in the service determinism suite — an
 //       untested contract is a build-time finding, not a latent
 //       divergence. Runs only when test sources are registered
 //       (--tests on the CLI).
@@ -183,8 +184,8 @@ struct Options {
   std::vector<std::string> element_coverage_files = {"test_block_kernels",
                                                      "test_analog"};
   std::vector<std::string> kernel_coverage_files = {"test_backend_equivalence"};
-  /// Lane-batched table entries (suffix _batch) are contract-covered by
-  /// the batch equivalence suite instead.
+  /// Lane-batched table entries (suffix _batch) must appear in the
+  /// batch equivalence suite as well as in kernel_coverage_files.
   std::vector<std::string> batch_kernel_coverage_files = {
       "test_batch_equivalence"};
   std::vector<std::string> request_coverage_files = {

@@ -19,8 +19,9 @@
 //       Run the built-in Monte-Carlo matching campaign (perturbed
 //       edge-model trials) through the orchestrator. --mode accepts
 //       serial, thread, or exec; exec re-invokes this binary as
-//       one `campaign-worker` subprocess per shard and merges their
-//       framed result files. The merged-state hash printed at the end
+//       one `campaign-worker` subprocess per shard, one after another,
+//       and merges their framed result files: it buys per-shard
+//       isolation, not throughput. The merged-state hash printed at the end
 //       is identical for every mode, shard count and resume point.
 //
 //   gdelay_tool campaign-worker --shard I --result FILE [campaign opts]
@@ -105,6 +106,9 @@ struct Args {
                "  campaign: --units N --shards S --mode"
                " serial|thread|exec\n"
                "            --ckpt DIR --every K --stop-after N --work DIR\n"
+               "            (exec runs one worker process per shard, one"
+               " after another:\n"
+               "             per-shard isolation, not throughput)\n"
                "  campaign-worker: --shard I --result FILE"
                " [+ campaign opts]\n"
                "  --backends : list compute backends and exit\n"
@@ -385,7 +389,8 @@ int cmd_campaign(const Args& a) {
   if (a.mode == "exec") {
     // Re-invoke this binary as one worker process per shard, then merge
     // the framed result files — the fully-isolated orchestration path
-    // (fresh address space per shard, results via the filesystem).
+    // (fresh address space per shard, results via the filesystem). The
+    // workers run one after another: isolation, not speed.
     const std::size_t n_shards =
         a.shards ? a.shards : campaign::default_shards();
     const std::string exe = self_exe_path(a);
